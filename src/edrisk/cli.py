@@ -123,6 +123,16 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _load_index(path: Path, what: str, n_rows: int) -> np.ndarray:
+    """Index file entries, each checked to address one of ``n_rows`` rows."""
+    idx, _ = resample.load_indices(_require(path, what))
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise resample.ResampleError(
+            f"{path}: {what} span [{idx.min()}, {idx.max()}], outside the {n_rows} rows they index"
+        )
+    return idx
+
+
 def _load_train_inputs(out: Path):
     ds = encode.load_dataset(
         _require(out / "features.hdr", "encoded header"),
@@ -130,10 +140,10 @@ def _load_train_inputs(out: Path):
         _require(out / "meta.tsv", "row metadata"),
     )
     stats = encode.load_stats(_require(out / "stats.tsv", "stats file"))
-    pre, _ = resample.load_indices(_require(out / "pretrain.idx", "pretrain indices"))
-    plan, _ = resample.load_indices(_require(out / "bootstrap.idx", "bootstrap plan"))
-    tr, _ = resample.load_indices(_require(out / "train.idx", "train indices"))
-    val, _ = resample.load_indices(_require(out / "val.idx", "validation indices"))
+    pre = _load_index(out / "pretrain.idx", "pretrain indices", ds.n_rows)
+    plan = _load_index(out / "bootstrap.idx", "bootstrap plan", len(pre))
+    tr = _load_index(out / "train.idx", "train indices", len(plan))
+    val = _load_index(out / "val.idx", "validation indices", len(plan))
     return ds, stats, pre, plan, tr, val
 
 
@@ -177,7 +187,13 @@ def _parse_filters(args) -> list[evaluation.SubgroupFilter]:
     for n in args.min_visits or []:
         filters.append(evaluation.SubgroupFilter.min_visits(n))
     for spec in args.ccs_filter or []:
-        filters.append(evaluation.SubgroupFilter.ccs_any(int(c) for c in spec.split("/")))
+        try:
+            codes = [int(c) for c in spec.split("/")]
+        except ValueError:
+            codes = []
+        if not codes or not schema.VALID_CCS.issuperset(codes):
+            raise ConfigError(f"--ccs-filter {spec!r}: expected CCS codes like 662 or 651/657")
+        filters.append(evaluation.SubgroupFilter.ccs_any(codes))
     return filters
 
 
@@ -191,7 +207,7 @@ def cmd_eval(args) -> int:
         _require(out / "meta.tsv", "row metadata"),
     )
     stats = encode.load_stats(_require(out / "stats.tsv", "stats file"))
-    test_idx, _ = resample.load_indices(_require(out / "test.idx", "test indices"))
+    test_idx = _load_index(out / "test.idx", "test indices", ds.n_rows)
     model = mlp.load_model(_require(out / f"model_{arch}.mlp", "model file"))
     report = evaluation.evaluate(
         model, ds.subset(test_idx), stats, _parse_filters(args), args.threshold, arch
@@ -247,6 +263,29 @@ def _read_config_file(path) -> dict[str, str]:
             k, v = line.split("=", 1)
             kv[k.strip().replace("-", "_")] = v.strip()
     return kv
+
+
+def _apply_config(parser, args, argv):
+    """Fill flags not given on the command line from the --config file.
+
+    Each value is cast as its flag would cast it, and an append-type flag
+    (--min-visits, --ccs-filter) takes the value as its one element."""
+    kv = _read_config_file(args.config)
+    given = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
+    for k, v in kv.items():
+        if k in given or k not in actions:
+            continue
+        action = actions[k]
+        cast = action.type or str
+        try:
+            value = cast(v)
+        except ValueError:
+            raise ConfigError(f"{args.config}: {k}={v!r} is not a valid {cast.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{args.config}: {k}={v!r} is not one of {sorted(action.choices)}")
+        setattr(args, k, [value] if isinstance(action, argparse._AppendAction) else value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,15 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # config file supplies values for flags not given on the command line
-            kv = _read_config_file(args.config)
-            given = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-            for k, v in kv.items():
-                if k in ("command", "config") or k in given or not hasattr(args, k):
-                    continue
-                cur = getattr(args, k)
-                cast = type(cur) if cur is not None else str
-                setattr(args, k, cast(v))
+            _apply_config(parser, args, argv)
         return COMMANDS[args.command](args)
     except (ConfigError, schema.SpecFormatError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Feature encoding: visits -> fixed-width numeric matrix.
 
-Row layout: [6 numeric fields | one-hot blocks in spec order | 285-entry
+Row layout: [6 numeric fields | one-hot blocks in spec order | 306-entry
 cumulative diagnosis block | visit counter].  The diagnosis block for a
 row is the running sum of per-visit one-hot code vectors over that
 patient's visits up to and including the row; duplicate codes within one

@@ -190,17 +190,27 @@ def load_model(path) -> MLPModel:
             raise BadMagic(f"{path}: bad magic {magic!r}")
         header = {}
         while True:
-            line = f.readline().decode("ascii").rstrip("\n")
+            raw = f.readline()
+            try:
+                line = raw.decode("ascii").rstrip("\n")
+            except UnicodeDecodeError:
+                raise ShapeCorruption(f"{path}: non-ASCII header line {raw[:40]!r}") from None
             if line == "end":
                 break
             if "=" not in line:
                 raise ShapeCorruption(f"{path}: malformed header line {line!r}")
             k, v = line.split("=", 1)
             header[k] = v
-        sizes = [int(s) for s in header["sizes"].split(",")]
-        depth = int(header["depth"])
-        if depth != len(sizes) - 1:
-            raise ShapeCorruption(f"{path}: depth {depth} inconsistent with sizes {sizes}")
+        try:
+            sizes = [int(s) for s in header["sizes"].split(",")]
+            depth = int(header["depth"])
+            selu_lambda, selu_alpha = float(header["lambda"]), float(header["alpha"])
+        except KeyError as e:
+            raise ShapeCorruption(f"{path}: header has no {e.args[0]}= line") from None
+        except ValueError as e:
+            raise ShapeCorruption(f"{path}: bad header value: {e}") from None
+        if depth != len(sizes) - 1 or min(sizes) < 1:
+            raise ShapeCorruption(f"{path}: depth {depth} and sizes {sizes} do not describe a network")
         blob = np.frombuffer(f.read(), dtype="<f8")
     need = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])) + sizes[-1] + 1
     if blob.size != need:
@@ -220,6 +230,6 @@ def load_model(path) -> MLPModel:
         biases=biases,
         out_w=out_w,
         out_b=float(blob[pos]),
-        selu_lambda=float(header["lambda"]),
-        selu_alpha=float(header["alpha"]),
+        selu_lambda=selu_lambda,
+        selu_alpha=selu_alpha,
     )

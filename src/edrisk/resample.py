@@ -84,10 +84,15 @@ def save_indices(indices: np.ndarray, seed: int, path):
 
 
 def load_indices(path) -> tuple[np.ndarray, int]:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("# seed="):
-            raise ResampleError(f"{path}: missing seed header")
-        seed = int(header.removeprefix("# seed="))
-        idx = np.array([int(line) for line in f], dtype=np.int64)
+    """Read an index file written by ``save_indices``.  Entries are not
+    range-checked here: only the caller knows how many rows they index."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if not header.startswith("# seed="):
+                raise ResampleError(f"{path}: missing seed header")
+            seed = int(header.removeprefix("# seed="))
+            idx = np.array([int(line) for line in f], dtype=np.int64)
+    except (ValueError, OverflowError) as e:  # a non-integer line, or bytes that are not UTF-8
+        raise ResampleError(f"{path}: {e}") from None
     return idx, seed

@@ -159,36 +159,81 @@ def _draw_visit_counts(rng, cfg, n):
 def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> list[VisitRecord]:
     """Deterministic given cfg.seed; patients use independent sub-streams
     seeded by (seed, patient index), so output does not depend on how the
-    patient loop is scheduled."""
+    patient loop is scheduled, and the first n patients of a larger cohort
+    equal an n-patient cohort of the same seed.
+
+    Stream contract.  Patient i draws from ``default_rng([cfg.seed, i])``
+    in this order, and any rewrite must keep it (``tests/test_synth.py``
+    holds the original loop as the oracle):
+
+    1. the visit count k, one geometric draw truncated at ``max_visits``;
+    2. age in [10, 20), zip in [90000, 96200), county in [1, 59), then k
+       service years in [2006, 2010), sorted afterwards;
+    3. one uniform per boosted code (sorted by code): the carried codes;
+    4. k binomial(6, extra_code_prob) draws; visit j gets 1 + draw j
+       background codes;
+    5. the background codes, uniform over the non-boosted codes, visit by
+       visit; then k levels per categorical field in ``CATEGORICAL_FIELDS``
+       order; then k facility ids in [1, 401);
+    6. if any code is carried, k rows of one uniform per carried code: the
+       carried codes that recur in each visit;
+    7. one uniform against the outcome probability.
+
+    Bounded integers use Lemire's method, which takes one 32-bit word per
+    value whether the bounds are scalars or arrays, so each of steps 2 and
+    5 is a single ``integers`` call with per-value bounds."""
     cfg.validate()
     if spec is None:
         spec = default_spec()
     boosted = np.array(cfg.boosted_codes, dtype=np.int64)
     qvec = np.array([cfg.carrier_prob.get(int(c), 0.0) for c in boosted])
     background = np.array(sorted(set(ALL_CCS.tolist()) - set(boosted.tolist())), dtype=np.int64)
+    levels = [spec.levels[name] for name in CATEGORICAL_FIELDS]
+    n_fields = len(levels)
+    # per-value (low, high) bounds of steps 2 and 5, by visit count (and
+    # number of background codes); built once per distinct key
+    head_bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    tail_bounds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     records: list[VisitRecord] = []
-    cat_levels = {name: spec.levels[name] for name in CATEGORICAL_FIELDS}
     for i in range(cfg.n_patients):
         rng = np.random.default_rng([cfg.seed, i])
         k = int(_draw_visit_counts(rng, cfg, 1)[0])
-        age = int(rng.integers(10, 20))
-        zip_code = int(rng.integers(90000, 96200))
-        county = int(rng.integers(1, 59))
-        years = np.sort(rng.integers(2006, 2010, size=k))
-        carried = boosted[rng.random(len(boosted)) < qvec]
-        n_bg = 1 + rng.binomial(6, cfg.extra_code_prob, size=k)
-        bg_codes = background[rng.integers(0, len(background), size=int(n_bg.sum()))]
-        cat_draws = {name: rng.integers(0, len(lv), size=k) for name, lv in cat_levels.items()}
-        facilities = rng.integers(1, 401, size=k)
+        bounds = head_bounds.get(k)
+        if bounds is None:
+            bounds = head_bounds[k] = (
+                np.array([10, 90000, 1] + [2006] * k, dtype=np.int64),
+                np.array([20, 96200, 59] + [2010] * k, dtype=np.int64),
+            )
+        head = rng.integers(*bounds)
+        age, zip_code, county = head[:3].tolist()
+        years = sorted(head[3:].tolist())
+        carried = boosted[rng.random(len(boosted)) < qvec].tolist()
+        n_bg = (1 + rng.binomial(6, cfg.extra_code_prob, size=k)).tolist()
+        n_codes = sum(n_bg)
+        bounds = tail_bounds.get((k, n_codes))
+        if bounds is None:
+            lo = np.zeros(n_codes + (n_fields + 1) * k, dtype=np.int64)
+            lo[n_codes + n_fields * k :] = 1
+            hi = np.concatenate(
+                [np.full(n_codes, len(background))]
+                + [np.full(k, len(lv)) for lv in levels]
+                + [np.full(k, 401)]
+            )
+            bounds = tail_bounds[(k, n_codes)] = (lo, hi)
+        tail = rng.integers(*bounds)
+        bg_codes = background[tail[:n_codes]].tolist()
+        cats = tail[n_codes : n_codes + n_fields * k].reshape(n_fields, k).T.tolist()
+        facilities = tail[n_codes + n_fields * k :].tolist()
 
+        if carried:
+            recur = (rng.random((k, len(carried))) < cfg.repeat_prob).tolist()
         visit_codes = []
         appeared: set[int] = set()
         pos = 0
         for j in range(k):
-            included = carried[rng.random(len(carried)) < cfg.repeat_prob] if len(carried) else carried
-            codes = [int(c) for c in included]
+            codes = [c for c, r in zip(carried, recur[j]) if r] if carried else []
             appeared.update(codes)
-            codes += [int(c) for c in bg_codes[pos : pos + n_bg[j]]]
+            codes += bg_codes[pos : pos + n_bg[j]]
             pos += n_bg[j]
             visit_codes.append(codes[:7])
         p_out = _sigmoid(outcome_logit(cfg, appeared, k))
@@ -196,19 +241,12 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> list[Visi
 
         pid = f"P{i:07d}"
         for j in range(k):
+            # positional: VisitRecord's categorical fields follow CATEGORICAL_FIELDS order
             records.append(
                 VisitRecord(
-                    patient_id=pid,
-                    visit_seq=j,
-                    year=int(years[j]),
-                    age=age,
-                    zip_code=zip_code,
-                    patient_county=county,
-                    facility_id=int(facilities[j]),
-                    service_year=int(years[j]),
-                    ccs_codes=visit_codes[j],
-                    outcome=y,
-                    **{name: cat_levels[name][cat_draws[name][j]] for name in CATEGORICAL_FIELDS},
+                    pid, j, years[j], age, zip_code, county, facilities[j], years[j],
+                    *[lv[x] for lv, x in zip(levels, cats[j])],
+                    visit_codes[j], y,
                 )
             )
     return records

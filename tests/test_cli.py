@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,38 @@ class TestErrors:
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    """A split output directory with an nn2 model, shared read-only."""
+    out = tmp_path_factory.mktemp("trained")
+    stage_through_split(out)
+    assert run(
+        "train", "--out-dir", out, "--arch", "nn2", "--seed", 3, "--steps", 40, "--batch-size", 64,
+    ) == 0
+    return out
+
+
+@pytest.fixture
+def trained_copy(trained_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(trained_dir, out)
+    return out
+
+
+class TestIndexFiles:
+    @pytest.mark.parametrize("name", ["pretrain", "bootstrap", "train", "val", "test"])
+    @pytest.mark.parametrize("entry", ["1000000000", "-1", "x"], ids=["past-end", "negative", "non-integer"])
+    def test_bad_entry_exit_1(self, trained_copy, capsys, name, entry):
+        path = trained_copy / f"{name}.idx"
+        lines = path.read_text().splitlines()
+        lines[1] = entry
+        path.write_text("\n".join(lines) + "\n")
+        stage = ("eval",) if name == "test" else ("train", "--steps", 5)
+        assert run(*stage, "--out-dir", trained_copy, "--arch", "nn2") == 1
+        err = capsys.readouterr().err
+        assert "ResampleError" in err and f"{name}.idx" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -121,6 +155,26 @@ class TestConfigFile:
         header_plus_rows = (out / "cohort.csv").read_text().splitlines()
         pids = {ln.split(",")[0] for ln in header_plus_rows[1:]}
         assert len(pids) == 10
+
+    @pytest.mark.parametrize("line,label", [("ccs_filter=662", "ccs 662"), ("min_visits=3", "v>=3")])
+    def test_config_append_flag_is_one_filter(self, trained_copy, line, label):
+        cfg = trained_copy / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run("--config", cfg, "eval", "--out-dir", trained_copy, "--arch", "nn2") == 0
+        labels = [ln.split("\t")[1] for ln in (trained_copy / "report_nn2.tsv").read_text().splitlines()[1:]]
+        assert labels == ["all", label]
+
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=abc\n")
+        assert run("--config", cfg, "train", "--out-dir", tmp_path, "--arch", "nn2") == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["6x2", "9999", "651/"])
+    def test_malformed_ccs_filter_exit_2(self, trained_copy, capsys, spec):
+        code = run("eval", "--out-dir", trained_copy, "--arch", "nn2", "--ccs-filter", spec)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestRepro:

@@ -250,3 +250,20 @@ class TestModelIO:
         path.write_bytes(b"MLP1\ndepth=3\nsizes=2,2\nlambda=1.0\nalpha=1.0\nend\n")
         with pytest.raises(ShapeCorruption):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"MLP1\ndepth=1\nlambda=1.0\nalpha=1.0\nend\n",  # no sizes=
+            b"MLP1\nsizes=2,2\nlambda=1.0\nalpha=1.0\nend\n",  # no depth=
+            b"MLP1\ndepth=1\nsizes=2,two\nlambda=1.0\nalpha=1.0\nend\n",
+            b"MLP1\ndepth=1\nsizes=-1,-1\nlambda=1.0\nalpha=1.0\nend\n",  # zero parameters expected
+            b"MLP1\ndepth=1\nsizes=2,\xe2\x82\xac\nlambda=1.0\nalpha=1.0\nend\n",  # non-ASCII
+        ],
+        ids=["no-sizes", "no-depth", "non-integer-size", "negative-size", "non-ascii"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.mlp"
+        path.write_bytes(header)
+        with pytest.raises(ShapeCorruption):
+            load_model(path)

@@ -3,6 +3,7 @@ import pytest
 
 from edrisk.resample import (
     DegenerateSplit,
+    ResampleError,
     SingleClass,
     balance_bootstrap,
     load_indices,
@@ -126,6 +127,23 @@ class TestIndexIO:
         np.testing.assert_array_equal(a, s.first)
         np.testing.assert_array_equal(b, s.second)
         assert seed_a == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# seed=1\n0\n1.5\n", "# seed=1\n0\nx\n", "# seed=one\n0\n", "# seed=1\n99999999999999999999\n"],
+        ids=["float", "word", "bad-seed", "overflow"],
+    )
+    def test_non_integer_entry_rejected(self, tmp_path, text):
+        path = tmp_path / "a.idx"
+        path.write_text(text)
+        with pytest.raises(ResampleError):
+            load_indices(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "a.idx"
+        path.write_bytes(b"# seed=1\n0\n\xff\xfe\n")
+        with pytest.raises(ResampleError):
+            load_indices(path)
 
     def test_pipeline_composition_keeps_test_rows_out(self):
         # bootstrap indexes into the pretraining subset only, so no test row

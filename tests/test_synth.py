@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from edrisk.schema import default_spec, validate_cohort
+from edrisk.schema import CATEGORICAL_FIELDS, VisitRecord, default_spec, validate_cohort
 from edrisk.synth import (
+    ALL_CCS,
     DEFAULT_TARGETS,
     RISK_GROUPS,
     InvalidConfig,
     SynthConfig,
     Unachievable,
+    _draw_visit_counts,
     _prevalences,
+    _sigmoid,
     _simulate_structure,
     calibrate,
     default_config,
@@ -24,6 +28,63 @@ SPEC = default_spec()
 
 def logit(p):
     return math.log(p / (1 - p))
+
+
+def _reference_generate(cfg, spec=None):
+    """The original one-draw-per-field patient loop: the oracle for the
+    per-patient stream contract that ``generate`` documents."""
+    cfg.validate()
+    if spec is None:
+        spec = default_spec()
+    boosted = np.array(cfg.boosted_codes, dtype=np.int64)
+    qvec = np.array([cfg.carrier_prob.get(int(c), 0.0) for c in boosted])
+    background = np.array(sorted(set(ALL_CCS.tolist()) - set(boosted.tolist())), dtype=np.int64)
+    records: list[VisitRecord] = []
+    cat_levels = {name: spec.levels[name] for name in CATEGORICAL_FIELDS}
+    for i in range(cfg.n_patients):
+        rng = np.random.default_rng([cfg.seed, i])
+        k = int(_draw_visit_counts(rng, cfg, 1)[0])
+        age = int(rng.integers(10, 20))
+        zip_code = int(rng.integers(90000, 96200))
+        county = int(rng.integers(1, 59))
+        years = np.sort(rng.integers(2006, 2010, size=k))
+        carried = boosted[rng.random(len(boosted)) < qvec]
+        n_bg = 1 + rng.binomial(6, cfg.extra_code_prob, size=k)
+        bg_codes = background[rng.integers(0, len(background), size=int(n_bg.sum()))]
+        cat_draws = {name: rng.integers(0, len(lv), size=k) for name, lv in cat_levels.items()}
+        facilities = rng.integers(1, 401, size=k)
+
+        visit_codes = []
+        appeared: set[int] = set()
+        pos = 0
+        for j in range(k):
+            included = carried[rng.random(len(carried)) < cfg.repeat_prob] if len(carried) else carried
+            codes = [int(c) for c in included]
+            appeared.update(codes)
+            codes += [int(c) for c in bg_codes[pos : pos + n_bg[j]]]
+            pos += n_bg[j]
+            visit_codes.append(codes[:7])
+        p_out = _sigmoid(outcome_logit(cfg, appeared, k))
+        y = int(rng.random() < p_out)
+
+        pid = f"P{i:07d}"
+        for j in range(k):
+            records.append(
+                VisitRecord(
+                    patient_id=pid,
+                    visit_seq=j,
+                    year=int(years[j]),
+                    age=age,
+                    zip_code=zip_code,
+                    patient_county=county,
+                    facility_id=int(facilities[j]),
+                    service_year=int(years[j]),
+                    ccs_codes=visit_codes[j],
+                    outcome=y,
+                    **{name: cat_levels[name][cat_draws[name][j]] for name in CATEGORICAL_FIELDS},
+                )
+            )
+    return records
 
 
 class TestConfig:
@@ -107,6 +168,45 @@ class TestGenerate:
         rate = sum(by_patient.values()) / len(by_patient)
         sd = math.sqrt(target * (1 - target) / len(by_patient))
         assert abs(rate - target) < 5 * sd
+
+
+class TestStreamContract:
+    """``generate`` batches each patient's draws but must return exactly
+    what the one-draw-per-field loop returns from the same streams."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_default_config_matches_reference(self, seed):
+        cfg = default_config(n_patients=2_000, seed=seed)
+        assert generate(cfg) == _reference_generate(cfg)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"max_visits": 1},
+            {"max_visits": 3},
+            {"carrier_prob": {}, "boosts": {}},
+            {"extra_code_prob": 0.0},
+            {"extra_code_prob": 1.0},
+            {"repeat_prob": 1.0},
+            {"n_patients": 0},
+        ],
+        ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()),
+    )
+    def test_config_variants_match_reference(self, change):
+        cfg = replace(default_config(n_patients=800, seed=19), **change)
+        assert generate(cfg) == _reference_generate(cfg)
+
+    def test_native_python_values(self):
+        r = generate(default_config(n_patients=20, seed=20))[0]
+        values = [r.year, r.age, r.zip_code, r.patient_county, r.facility_id, r.service_year, *r.ccs_codes]
+        assert all(type(v) is int for v in values)
+
+    def test_prefix_stable(self):
+        small = generate(default_config(n_patients=100, seed=21))
+        large = generate(default_config(n_patients=300, seed=21))
+        n_small = len(small)
+        assert large[:n_small] == small
+        assert large[n_small].patient_id == "P0000100"
 
 
 class TestStructureModel:
