@@ -221,15 +221,21 @@ def save_stats(stats: FeatureStats, path):
 def load_stats(path) -> FeatureStats:
     names, means, variances, retained = [], [], [], []
     with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        if not header.startswith("column\t"):
-            raise EncodeError(f"{path}: not a stats file")
-        for line in f:
-            name, m, v, r = line.rstrip("\n").split("\t")
-            names.append(name)
-            means.append(float(m))
-            variances.append(float(v))
-            retained.append(bool(int(r)))
+        try:
+            header = f.readline()
+            if not header.startswith("column\t"):
+                raise EncodeError(f"{path}: not a stats file")
+            for line in f:
+                name, m, v, r = line.rstrip("\n").split("\t")
+                names.append(name)
+                means.append(float(m))
+                variances.append(float(v))
+                retained.append(bool(int(r)))
+        except UnicodeDecodeError:
+            raise EncodeError(f"{path}: not UTF-8 text") from None
+        except ValueError as e:
+            # every check on a line comes before its retained flag is kept
+            raise EncodeError(f"{path}: line {len(retained) + 2}: {e}") from None
     return FeatureStats(
         means=np.array(means),
         variances=np.array(variances),
@@ -253,26 +259,45 @@ def save_dataset(ds: EncodedDataset, header_path, matrix_path, meta_path):
 
 
 def load_dataset(header_path, matrix_path, meta_path) -> EncodedDataset:
+    """Read what ``save_dataset`` wrote; any malformed field or a meta row
+    count that differs from the header raises ``EncodeError``."""
     kv = {}
-    with open(header_path, encoding="utf-8") as f:
-        for line in f:
-            k, v = line.rstrip("\n").split("=", 1)
-            kv[k] = v
-    rows = int(kv["rows"])
-    width = int(kv["raw_width"])
-    columns = kv["columns"].split(",") if kv["columns"] else []
+    try:
+        with open(header_path, encoding="utf-8") as f:
+            for line in f:
+                k, v = line.rstrip("\n").split("=", 1)
+                kv[k] = v
+        rows = int(kv["rows"])
+        width = int(kv["raw_width"])
+        columns = kv["columns"].split(",") if kv["columns"] else []
+    except UnicodeDecodeError:
+        raise EncodeError(f"{header_path}: not UTF-8 text") from None
+    except KeyError as e:
+        raise EncodeError(f"{header_path}: no {e.args[0]}= line") from None
+    except ValueError as e:
+        raise EncodeError(f"{header_path}: bad header: {e}") from None
+    if rows < 0 or width < 0:
+        raise EncodeError(f"{header_path}: negative rows={rows} or raw_width={width}")
     X = np.fromfile(matrix_path, dtype="<f8")
     if X.size != rows * width:
         raise EncodeError(f"{matrix_path}: expected {rows * width} values, found {X.size}")
     X = X.reshape(rows, width)
     pids, counts, labels = [], [], []
     with open(meta_path, encoding="utf-8") as f:
-        f.readline()
-        for line in f:
-            pid, vc, y = line.rstrip("\n").split("\t")
-            pids.append(pid)
-            counts.append(int(vc))
-            labels.append(int(y))
+        try:
+            f.readline()
+            for line in f:
+                pid, vc, y = line.rstrip("\n").split("\t")
+                pids.append(pid)
+                counts.append(int(vc))
+                labels.append(int(y))
+        except UnicodeDecodeError:
+            raise EncodeError(f"{meta_path}: not UTF-8 text") from None
+        except ValueError as e:
+            # every check on a line comes before its label is kept
+            raise EncodeError(f"{meta_path}: line {len(labels) + 2}: {e}") from None
+    if len(labels) != rows:
+        raise EncodeError(f"{meta_path}: {len(labels)} rows, header says {rows}")
     return EncodedDataset(
         features=X,
         labels=np.array(labels, dtype=np.int64),

@@ -45,16 +45,16 @@ class ShapeCorruption(MLPError):
     pass
 
 
-def selu(z):
-    """lambda * (z for z > 0, alpha * (e^z - 1) for z <= 0), element-wise."""
+def selu(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA):
+    """lam * (z for z > 0, alpha * (e^z - 1) for z <= 0), element-wise."""
     z = np.asarray(z, dtype=np.float64)
-    return SELU_LAMBDA * np.where(z > 0, z, SELU_ALPHA * np.expm1(np.minimum(z, 0.0)))
+    return lam * np.where(z > 0, z, alpha * np.expm1(np.minimum(z, 0.0)))
 
 
-def selu_prime(z):
-    """Derivative; at z == 0 we take the z <= 0 branch value lambda * alpha."""
+def selu_prime(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA):
+    """Derivative; at z == 0 we take the z <= 0 branch value lam * alpha."""
     z = np.asarray(z, dtype=np.float64)
-    return SELU_LAMBDA * np.where(z > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(z, 0.0)))
+    return lam * np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
 
 
 def sigmoid(z):
@@ -138,13 +138,14 @@ def init(arch: Architecture, p: int, seed: int, weight_scale: str = "lecun") -> 
 
 
 def hidden_activations(model: MLPModel, X: np.ndarray) -> list[np.ndarray]:
-    """All hidden-layer outputs [h^(1), ..., h^(d)] for a batch."""
+    """All hidden-layer outputs [h^(1), ..., h^(d)] for a batch, under the
+    model's own SELU constants."""
     h = np.asarray(X, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.n_inputs:
         raise ShapeMismatch(f"input has shape {h.shape}, model expects (*, {model.n_inputs})")
     hs = []
     for W, b in zip(model.weights, model.biases):
-        h = selu(h @ W + b)
+        h = selu(h @ W + b, model.selu_lambda, model.selu_alpha)
         hs.append(h)
     return hs
 

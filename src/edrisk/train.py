@@ -1,6 +1,12 @@
 """Training loop: mean negative log likelihood, exact backpropagation,
 SGD / SGD-with-momentum, linear step-size decay, and early stopping on
 validation balanced accuracy with checkpoint restore.
+
+The logged training loss is the running loss of the minibatches, as most
+frameworks report it: at each evaluation, the mean negative log
+likelihood over the training rows seen since the previous evaluation,
+each taken under the parameters before its own step.  ``grad`` already
+computes it, so training never makes a separate pass over the training set.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import MLPModel, ShapeMismatch, hidden_activations, selu_prime, sigmoid
+from .mlp import MLPModel, ShapeMismatch, hidden_activations, selu, selu_prime, sigmoid
 
 PROB_EPS = 1e-12  # clamp inside the loss only; gradients use P - y directly
 
@@ -52,6 +58,11 @@ class TrainConfig:
 
 @dataclass
 class LogEntry:
+    """One evaluation.  ``train_loss`` is the mean negative log likelihood
+    over the training rows seen since the previous evaluation, each under
+    the parameters before its step; the validation metrics are taken under
+    the parameters after ``step`` steps."""
+
     step: int
     train_loss: float
     val_accuracy: float
@@ -62,6 +73,9 @@ class LogEntry:
 
 @dataclass
 class TrainLog:
+    """The evaluations of one run, saved as ``trainlog_*.tsv``; see
+    ``LogEntry`` for what each column means."""
+
     entries: list[LogEntry] = field(default_factory=list)
 
     def save(self, path):
@@ -80,6 +94,7 @@ class Gradients:
     biases: list[np.ndarray]
     out_w: np.ndarray
     out_b: float
+    loss: float = float("nan")  # the batch's mean NLL; unused by the momentum buffer
 
 
 def _check_batch(model, X, y):
@@ -92,28 +107,30 @@ def _check_batch(model, X, y):
     return X, y
 
 
-def loss(model: MLPModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean negative log likelihood of the labels under the model."""
-    X, y = _check_batch(model, X, y)
-    P = np.clip(
-        sigmoid(hidden_activations(model, X)[-1] @ model.out_w + model.out_b),
-        PROB_EPS,
-        1.0 - PROB_EPS,
-    )
+def _mean_nll(P: np.ndarray, y: np.ndarray) -> float:
+    P = np.clip(P, PROB_EPS, 1.0 - PROB_EPS)
     return float(-np.mean(y * np.log(P) + (1.0 - y) * np.log(1.0 - P)))
 
 
+def loss(model: MLPModel, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean negative log likelihood of the labels under the model."""
+    X, y = _check_batch(model, X, y)
+    return _mean_nll(sigmoid(hidden_activations(model, X)[-1] @ model.out_w + model.out_b), y)
+
+
 def grad(model: MLPModel, X: np.ndarray, y: np.ndarray) -> Gradients:
-    """Exact gradient of the mean negative log likelihood via backpropagation."""
+    """Exact gradient of the mean negative log likelihood via backpropagation,
+    together with that loss (equal to ``loss(model, X, y)``)."""
     X, y = _check_batch(model, X, y)
     n = X.shape[0]
+    lam, alpha = model.selu_lambda, model.selu_alpha
     # forward, keeping pre-activations
     zs, hs = [], [X]
     h = X
     for W, b in zip(model.weights, model.biases):
         z = h @ W + b
         zs.append(z)
-        h = model.selu_lambda * np.where(z > 0, z, model.selu_alpha * np.expm1(np.minimum(z, 0.0)))
+        h = selu(z, lam, alpha)
         hs.append(h)
     P = sigmoid(h @ model.out_w + model.out_b)
 
@@ -124,12 +141,12 @@ def grad(model: MLPModel, X: np.ndarray, y: np.ndarray) -> Gradients:
     dbs = [None] * model.depth
     delta_h = np.outer(delta_u, model.out_w)
     for i in range(model.depth - 1, -1, -1):
-        delta_z = delta_h * selu_prime(zs[i])
+        delta_z = delta_h * selu_prime(zs[i], lam, alpha)
         dWs[i] = hs[i].T @ delta_z
         dbs[i] = delta_z.sum(axis=0)
         if i > 0:
             delta_h = delta_z @ model.weights[i].T
-    return Gradients(weights=dWs, biases=dbs, out_w=g_out_w, out_b=g_out_b)
+    return Gradients(weights=dWs, biases=dbs, out_w=g_out_w, out_b=g_out_b, loss=_mean_nll(P, y))
 
 
 def step_size(t: int, cfg: TrainConfig) -> float:
@@ -157,7 +174,9 @@ def train(
     """Minibatch SGD with shuffled epochs.  Evaluates validation metrics every
     eval_every steps (default: once per epoch) and stops after `patience`
     consecutive evaluations without a min_delta improvement in balanced
-    accuracy; the returned model is the best-validation checkpoint."""
+    accuracy; the returned model is the best-validation checkpoint.  The
+    logged train_loss is the row-weighted mean of the minibatch losses
+    since the previous evaluation (see LogEntry)."""
     X_tr, y_tr = _check_batch(model, *train_set)
     X_val, y_val = _check_batch(model, *val_set)
     if X_tr.shape[0] == 0 or X_val.shape[0] == 0:
@@ -183,6 +202,8 @@ def train(
     best_metric = -np.inf
     bad_evals = 0
     stop_reason = "budget_exhausted"
+    seen_loss = 0.0  # sum of minibatch mean losses times their rows since the last evaluation
+    seen_rows = 0
     t = 0
     done = False
     while not done:
@@ -190,6 +211,8 @@ def train(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             g = grad(model, X_tr[batch], y_tr[batch])
+            seen_loss += g.loss * len(batch)
+            seen_rows += len(batch)
             eta = step_size(t, cfg)
             for i in range(model.depth):
                 vel.weights[i] = mu * vel.weights[i] - eta * g.weights[i]
@@ -203,7 +226,8 @@ def train(
             t += 1
 
             if t % eval_every == 0 or t >= cfg.total_steps:
-                train_loss = loss(model, X_tr, y_tr)
+                train_loss = seen_loss / seen_rows
+                seen_loss, seen_rows = 0.0, 0
                 if not np.isfinite(train_loss):
                     raise DivergenceDetected(f"non-finite training loss at step {t}")
                 acc, sens, spec = _validation_metrics(model, X_val, y_val)

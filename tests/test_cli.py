@@ -136,6 +136,25 @@ class TestIndexFiles:
         assert "ResampleError" in err and f"{name}.idx" in err
 
 
+class TestStageFiles:
+    def test_non_integer_header_rows_exit_1(self, trained_copy, capsys):
+        hdr = trained_copy / "features.hdr"
+        lines = hdr.read_text().splitlines()
+        hdr.write_text("\n".join(["rows=abc"] + lines[1:]) + "\n")
+        assert run("split", "--out-dir", trained_copy, "--seed", 3) == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "features.hdr" in err
+
+    def test_non_numeric_stats_mean_exit_1(self, trained_copy, capsys):
+        stats = trained_copy / "stats.tsv"
+        lines = stats.read_text().splitlines()
+        name, _, var, kept = lines[1].split("\t")
+        stats.write_text("\n".join([lines[0], f"{name}\tx\t{var}\t{kept}"] + lines[2:]) + "\n")
+        assert run("train", "--out-dir", trained_copy, "--arch", "nn2", "--steps", 5) == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "stats.tsv" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,6 +4,7 @@ import pytest
 from edrisk import schema
 from edrisk.encode import (
     EncodedDataset,
+    EncodeError,
     TooFewRows,
     WidthMismatch,
     apply_stats,
@@ -164,6 +165,10 @@ class TestEncodeCohort:
         assert ds.features.shape == (0, WIDTH)
 
 
+def _rewrite(path, mutate):
+    path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
+
+
 class TestStats:
     def test_mean_variance_example(self):
         X = np.array([[0.0, 5.0], [2.0, 5.0]])
@@ -211,6 +216,30 @@ class TestStats:
         np.testing.assert_array_equal(loaded.retained, stats.retained)
         assert loaded.column_names == stats.column_names
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda ls: ls[:1] + [ls[1].rsplit("\t", 1)[0]] + ls[2:],
+            lambda ls: ls[:1] + ["c\tx\t1.0\t1"] + ls[2:],
+            lambda ls: ls[:1] + ["c\t0.0\tv\t1"] + ls[2:],
+            lambda ls: ls[:1] + ["c\t0.0\t1.0\tyes"] + ls[2:],
+        ],
+        ids=["three-fields", "mean", "variance", "retained"],
+    )
+    def test_malformed_stats_line_rejected(self, tmp_path, mutate):
+        path = tmp_path / "stats.tsv"
+        save_stats(fit_stats(np.random.default_rng(23).normal(size=(5, 3))), path)
+        _rewrite(path, mutate)
+        with pytest.raises(EncodeError, match="line 2"):
+            load_stats(path)
+
+    def test_non_utf8_stats_rejected(self, tmp_path):
+        path = tmp_path / "stats.tsv"
+        save_stats(fit_stats(np.random.default_rng(24).normal(size=(5, 3))), path)
+        path.write_bytes(path.read_bytes().replace(b"col_1", b"col_\xff"))
+        with pytest.raises(EncodeError, match="UTF-8"):
+            load_stats(path)
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
@@ -233,6 +262,45 @@ class TestDatasetIO:
         data = paths[1].read_bytes()
         paths[1].write_bytes(data[:-8])
         with pytest.raises(Exception):
+            load_dataset(*paths)
+
+    @pytest.mark.parametrize(
+        "which,mutate,message",
+        [
+            (0, lambda ls: ls[1:], "no rows= line"),
+            (0, lambda ls: [ls[0], ls[2]], "no raw_width= line"),
+            (0, lambda ls: ls[:2], "no columns= line"),
+            (0, lambda ls: ["rows=abc"] + ls[1:], "bad header"),
+            (0, lambda ls: [ls[0], "raw_width=1.5", ls[2]], "bad header"),
+            (0, lambda ls: ls + ["no equals sign"], "bad header"),
+            (0, lambda ls: ["rows=-1", f"raw_width=-{int(ls[0][5:]) * WIDTH}", ls[2]], "negative"),
+            (2, lambda ls: ls[:2] + [ls[2].rsplit("\t", 1)[0]] + ls[3:], "line 3"),
+            (2, lambda ls: ls[:2] + ["p\tx\t0"] + ls[3:], "line 3"),
+            (2, lambda ls: ls[:2] + ["p\t1\t1.0"] + ls[3:], "line 3"),
+            (2, lambda ls: ls[:-1], "rows, header says"),
+            (2, lambda ls: ls + [ls[-1]], "rows, header says"),
+        ],
+        ids=[
+            "hdr-no-rows", "hdr-no-width", "hdr-no-columns", "hdr-rows-abc", "hdr-width-float",
+            "hdr-no-equals", "hdr-negative", "meta-two-fields", "meta-count", "meta-label",
+            "meta-short", "meta-long",
+        ],
+    )
+    def test_malformed_header_or_meta_rejected(self, tmp_path, which, mutate, message):
+        rng = np.random.default_rng(34)
+        paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
+        save_dataset(encode_cohort(random_records(rng, 5), SPEC), *paths)
+        _rewrite(paths[which], mutate)
+        with pytest.raises(EncodeError, match=message):
+            load_dataset(*paths)
+
+    @pytest.mark.parametrize("which", [0, 2], ids=["header", "meta"])
+    def test_non_utf8_rejected(self, tmp_path, which):
+        rng = np.random.default_rng(35)
+        paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
+        save_dataset(encode_cohort(random_records(rng, 5), SPEC), *paths)
+        paths[which].write_bytes(paths[which].read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(EncodeError, match="UTF-8"):
             load_dataset(*paths)
 
     def test_subset(self):

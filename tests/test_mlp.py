@@ -32,16 +32,17 @@ def random_model(rng, p, hidden):
 
 
 def oracle_forward(model, x):
-    """Literal per-unit evaluation with Python loops."""
+    """Literal per-unit evaluation with Python loops, under the model's SELU constants."""
+    lam, alpha = model.selu_lambda, model.selu_alpha
     h = list(x)
     for W, b in zip(model.weights, model.biases):
         nxt = []
         for j in range(W.shape[1]):
             z = b[j] + sum(h[i] * W[i, j] for i in range(W.shape[0]))
             if z > 0:
-                nxt.append(SELU_LAMBDA * z)
+                nxt.append(lam * z)
             else:
-                nxt.append(SELU_LAMBDA * SELU_ALPHA * (np.exp(z) - 1.0))
+                nxt.append(lam * alpha * (np.exp(z) - 1.0))
         h = nxt
     z = model.out_b + sum(h[i] * model.out_w[i] for i in range(len(h)))
     return 1.0 / (1.0 + np.exp(-z))
@@ -169,6 +170,17 @@ class TestForward:
             m = random_model(rng, p, hidden)
             x = rng.normal(size=p)
             assert abs(forward(m, x) - oracle_forward(m, x)) < 1e-12
+
+    def test_uses_model_selu_constants(self):
+        rng = np.random.default_rng(9)
+        m = random_model(rng, 5, [6, 4])
+        X = rng.normal(size=(20, 5))
+        default = forward_batch(m, X)
+        m.selu_lambda = 1.1
+        changed = forward_batch(m, X)
+        assert np.all(changed != default)
+        for x, p in zip(X, changed):
+            assert abs(p - oracle_forward(m, x)) < 1e-12
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(6)

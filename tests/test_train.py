@@ -5,8 +5,13 @@ from edrisk.mlp import Architecture, forward_batch, init
 from edrisk.train import (
     DivergenceDetected,
     EmptySet,
+    Gradients,
+    LogEntry,
     TrainConfig,
     TrainError,
+    TrainLog,
+    _check_batch,
+    _validation_metrics,
     grad,
     loss,
     step_size,
@@ -66,6 +71,83 @@ def separable_problem(rng, n=400, p=6):
     return X, y
 
 
+def _reference_train(model, train_set, val_set, cfg):
+    """The training loop as it was when each evaluation logged a full pass of
+    ``loss`` over the training set.  It also returns, per evaluation, the
+    (loss, rows) of every minibatch since the previous one, each taken with
+    ``loss`` under the parameters before its step."""
+    X_tr, y_tr = _check_batch(model, *train_set)
+    X_val, y_val = _check_batch(model, *val_set)
+    n = X_tr.shape[0]
+    steps_per_epoch = max(1, int(np.ceil(n / cfg.batch_size)))
+    eval_every = cfg.eval_every if cfg.eval_every > 0 else steps_per_epoch
+
+    model = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
+    vel = Gradients(
+        weights=[np.zeros_like(W) for W in model.weights],
+        biases=[np.zeros_like(b) for b in model.biases],
+        out_w=np.zeros_like(model.out_w),
+        out_b=0.0,
+    )
+    log = TrainLog()
+    batch_losses, pending = [], []
+    best = model.copy()
+    best_metric = -np.inf
+    bad_evals = 0
+    stop_reason = "budget_exhausted"
+    t = 0
+    done = False
+    while not done:
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            Xb, yb = X_tr[batch], y_tr[batch]
+            pending.append((loss(model, Xb, yb), len(batch)))
+            g = grad(model, Xb, yb)
+            eta = step_size(t, cfg)
+            for i in range(model.depth):
+                vel.weights[i] = mu * vel.weights[i] - eta * g.weights[i]
+                vel.biases[i] = mu * vel.biases[i] - eta * g.biases[i]
+                model.weights[i] += vel.weights[i]
+                model.biases[i] += vel.biases[i]
+            vel.out_w = mu * vel.out_w - eta * g.out_w
+            vel.out_b = mu * vel.out_b - eta * g.out_b
+            model.out_w += vel.out_w
+            model.out_b += vel.out_b
+            t += 1
+
+            if t % eval_every == 0 or t >= cfg.total_steps:
+                train_loss = loss(model, X_tr, y_tr)
+                if not np.isfinite(train_loss):
+                    raise DivergenceDetected(f"non-finite training loss at step {t}")
+                batch_losses.append(pending)
+                pending = []
+                acc, sens, spec = _validation_metrics(model, X_val, y_val)
+                log.entries.append(LogEntry(t, train_loss, acc, sens, spec, step_size(t, cfg)))
+                balanced = np.nanmean([sens, spec])
+                first_eval = best_metric == -np.inf
+                if first_eval or balanced > best_metric + cfg.min_delta:
+                    best_metric = balanced
+                    best = model.copy()
+                    bad_evals = 0
+                else:
+                    bad_evals += 1
+                    if bad_evals >= cfg.patience:
+                        stop_reason = "early_stop"
+                        done = True
+                        break
+            if t >= cfg.total_steps:
+                done = True
+                break
+    return best, log, stop_reason, batch_losses
+
+
+def _val_columns(log):
+    return [(e.step, e.val_accuracy, e.val_sensitivity, e.val_specificity, e.step_size) for e in log.entries]
+
+
 class TestLoss:
     def test_uninformative_model_gives_log2(self):
         m = init(Architecture.named("nn2"), p=3, seed=0)
@@ -92,18 +174,35 @@ class TestLoss:
         assert loss(m, rng.normal(size=(5, 2)), np.ones(5)) < 1e-10
 
 
+def worst_fd_error(m, rng):
+    """Largest relative gap between backprop and finite differences."""
+    for b in m.biases:
+        b[:] = 0.1 * rng.normal(size=b.shape)
+    X = rng.normal(size=(8, 5))
+    y = (rng.random(8) < 0.5).astype(np.float64)
+    g = flatten_grads(grad(m, X, y))
+    fd = finite_difference(m, X, y)
+    return np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8))
+
+
 class TestGrad:
     def test_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
         m = init(Architecture.custom([4, 3]), p=5, seed=5)
-        for b in m.biases:
-            b[:] = 0.1 * rng.normal(size=b.shape)
-        X = rng.normal(size=(8, 5))
-        y = (rng.random(8) < 0.5).astype(np.float64)
-        g = flatten_grads(grad(m, X, y))
-        fd = finite_difference(m, X, y)
-        denom = np.maximum(np.abs(fd), 1e-8)
-        assert np.max(np.abs(g - fd) / denom) < 1e-5
+        assert worst_fd_error(m, np.random.default_rng(4)) < 1e-5
+
+    def test_matches_finite_differences_under_model_selu_constants(self):
+        m = init(Architecture.custom([4, 3]), p=5, seed=5)
+        m.selu_lambda, m.selu_alpha = 1.1, 1.5
+        assert worst_fd_error(m, np.random.default_rng(4)) < 1e-5
+
+    @pytest.mark.parametrize("hidden", [[5], [6, 4], [50, 20, 20]])
+    def test_returns_the_loss_of_its_batch(self, hidden):
+        rng = np.random.default_rng(8)
+        m = init(Architecture.custom(hidden), p=7, seed=9)
+        m.out_b = 0.3
+        X = rng.normal(size=(33, 7))
+        y = (rng.random(33) < 0.5).astype(np.float64)
+        assert grad(m, X, y).loss == loss(m, X, y)
 
     def test_symmetric_batch_zeroes_output_bias_gradient(self):
         m = init(Architecture.named("nn2"), p=3, seed=0)
@@ -222,8 +321,6 @@ class TestTrain:
         m = init(Architecture.custom([12]), p=6, seed=22)
         best, log, _ = train(m, (X, y), (Xv, yv), cfg)
         # returned model's balanced accuracy matches the best logged one
-        from edrisk.train import _validation_metrics
-
         _, sens, spec = _validation_metrics(best, Xv, yv)
         achieved = np.nanmean([sens, spec])
         logged = max(np.nanmean([e.val_sensitivity, e.val_specificity]) for e in log.entries)
@@ -257,6 +354,39 @@ class TestTrain:
         with pytest.raises(EmptySet):
             train(m, (np.empty((0, 3)), np.empty(0)), (np.zeros((1, 3)), np.zeros(1)),
                   TrainConfig())
+
+    @pytest.mark.parametrize(
+        "optimizer,eval_every,patience",
+        [
+            ("sgd", 0, 1000),
+            ("sgd_momentum", 0, 1000),
+            ("sgd", 7, 1000),
+            ("sgd_momentum", 7, 1000),
+            ("sgd_momentum", 7, 1),
+        ],
+        ids=["sgd-per-epoch", "momentum-per-epoch", "sgd-every-7", "momentum-every-7", "momentum-early-stop"],
+    )
+    def test_matches_full_pass_reference(self, optimizer, eval_every, patience):
+        # 100 rows in batches of 12 make 9 steps per epoch, the last of 4 rows,
+        # so every 7 steps an evaluation falls inside an epoch
+        rng = np.random.default_rng(30)
+        X_all, y_all = separable_problem(rng, n=150)
+        tr, va = (X_all[:100], y_all[:100]), (X_all[100:], y_all[100:])
+        cfg = TrainConfig(
+            optimizer=optimizer, eta0=0.05, total_steps=120, batch_size=12,
+            eval_every=eval_every, patience=patience, min_delta=0.01, seed=31,
+        )
+        m = init(Architecture.custom([8, 6]), p=6, seed=32)
+        best, log, reason = train(m, tr, va, cfg)
+        ref, ref_log, ref_reason, batch_losses = _reference_train(m, tr, va, cfg)
+        for W, R in zip(best.weights + best.biases, ref.weights + ref.biases):
+            np.testing.assert_array_equal(W, R)
+        np.testing.assert_array_equal(best.out_w, ref.out_w)
+        assert best.out_b == ref.out_b
+        assert reason == ref_reason == ("early_stop" if patience == 1 else "budget_exhausted")
+        assert _val_columns(log) == _val_columns(ref_log)
+        for entry, seen in zip(log.entries, batch_losses):
+            assert entry.train_loss == sum(l * k for l, k in seen) / sum(k for _, k in seen)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(27)
