@@ -133,13 +133,26 @@ def _load_index(path: Path, what: str, n_rows: int) -> np.ndarray:
     return idx
 
 
-def _load_train_inputs(out: Path):
+def _load_dataset_and_stats(out: Path):
+    """The encoded matrix and the normalization stats, checked to name the same columns."""
     ds = encode.load_dataset(
         _require(out / "features.hdr", "encoded header"),
         _require(out / "features.f64", "encoded matrix"),
         _require(out / "meta.tsv", "row metadata"),
     )
     stats = encode.load_stats(_require(out / "stats.tsv", "stats file"))
+    if stats.column_names != ds.column_names:
+        pairs = zip(stats.column_names, ds.column_names)
+        first = next((f"{a!r} vs {b!r}" for a, b in pairs if a != b), "one list is a prefix of the other")
+        raise encode.EncodeError(
+            f"{out / 'stats.tsv'}: its {len(stats.column_names)} columns do not match the "
+            f"{len(ds.column_names)} of features.hdr ({first})"
+        )
+    return ds, stats
+
+
+def _load_train_inputs(out: Path):
+    ds, stats = _load_dataset_and_stats(out)
     pre = _load_index(out / "pretrain.idx", "pretrain indices", ds.n_rows)
     plan = _load_index(out / "bootstrap.idx", "bootstrap plan", len(pre))
     tr = _load_index(out / "train.idx", "train indices", len(plan))
@@ -201,12 +214,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     t0 = time.time()
     arch = args.arch.lower()
-    ds = encode.load_dataset(
-        _require(out / "features.hdr", "encoded header"),
-        _require(out / "features.f64", "encoded matrix"),
-        _require(out / "meta.tsv", "row metadata"),
-    )
-    stats = encode.load_stats(_require(out / "stats.tsv", "stats file"))
+    ds, stats = _load_dataset_and_stats(out)
     test_idx = _load_index(out / "test.idx", "test indices", ds.n_rows)
     model = mlp.load_model(_require(out / f"model_{arch}.mlp", "model file"))
     report = evaluation.evaluate(
@@ -234,14 +242,13 @@ def cmd_repro(args) -> int:
         args.arch = arch
         cmd_train(args)
         cmd_eval(args)
-        with open(out / f"report_{arch}.tsv", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        lines = (out / f"report_{arch}.tsv").read_text(encoding="utf-8").splitlines()
         combined.extend(lines[1:] if combined else lines)
     with open(out / "report.tsv", "w", encoding="utf-8") as f:
         f.write("\n".join(combined) + "\n")
     with open(out / "report.txt", "w", encoding="utf-8") as f:
         for arch in ("nn2", "nn4", "nn8"):
-            f.write(open(out / f"report_{arch}.txt", encoding="utf-8").read())
+            f.write((out / f"report_{arch}.txt").read_text(encoding="utf-8"))
             f.write("\n")
     print(f"repro: combined report at {out / 'report.txt'}")
     return 0

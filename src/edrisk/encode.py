@@ -52,36 +52,6 @@ def feature_names(spec: CategoricalSpec) -> list[str]:
     return names
 
 
-def visit_diagnosis_vector(record: VisitRecord) -> np.ndarray:
-    """One-hot union of the visit's CCS codes (duplicates count once)."""
-    v = np.zeros(N_CCS)
-    v[[CCS_SLOT[c] for c in set(record.ccs_codes)]] = 1.0
-    return v
-
-
-def encode_visit(
-    record: VisitRecord,
-    history: np.ndarray,
-    prior_visit_count: int,
-    spec: CategoricalSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one visit given the patient's cumulative diagnosis vector from
-    strictly earlier visits.  Returns (feature row, updated cumulative vector)."""
-    cumulative = history + visit_diagnosis_vector(record)
-    row = np.empty(raw_width(spec))
-    row[: len(NUMERIC_FIELDS)] = [getattr(record, n) for n in NUMERIC_FIELDS]
-    off = len(NUMERIC_FIELDS)
-    for fname in CATEGORICAL_FIELDS:
-        w = spec.width(fname)
-        block = np.zeros(w)
-        block[spec.level_index(fname, getattr(record, fname))] = 1.0
-        row[off : off + w] = block
-        off += w
-    row[off : off + N_CCS] = cumulative
-    row[off + N_CCS] = prior_visit_count + 1
-    return row, cumulative
-
-
 @dataclass
 class EncodedDataset:
     features: np.ndarray  # (visits, raw_width), pre-normalization
@@ -219,6 +189,9 @@ def save_stats(stats: FeatureStats, path):
 
 
 def load_stats(path) -> FeatureStats:
+    """Read what ``save_stats`` wrote; a malformed line, a non-finite mean or
+    a retained column whose variance is not finite and > 0 raises
+    ``EncodeError``."""
     names, means, variances, retained = [], [], [], []
     with open(path, encoding="utf-8") as f:
         try:
@@ -236,12 +209,21 @@ def load_stats(path) -> FeatureStats:
         except ValueError as e:
             # every check on a line comes before its retained flag is kept
             raise EncodeError(f"{path}: line {len(retained) + 2}: {e}") from None
-    return FeatureStats(
+    stats = FeatureStats(
         means=np.array(means),
         variances=np.array(variances),
         retained=np.array(retained, dtype=bool),
         column_names=names,
     )
+    usable_var = np.isfinite(stats.variances) & (stats.variances > 0.0)
+    bad = ~np.isfinite(stats.means) | (stats.retained & ~usable_var)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise EncodeError(
+            f"{path}: line {j + 2}: column {names[j]!r} has mean {means[j]!r} and variance "
+            f"{variances[j]!r}; means must be finite and a retained column's variance finite and > 0"
+        )
+    return stats
 
 
 def save_dataset(ds: EncodedDataset, header_path, matrix_path, meta_path):

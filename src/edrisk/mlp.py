@@ -4,10 +4,13 @@ Architectures: NN2 = two hidden layers of 50 units, NN4 = four of 50,
 NN8 = eight hidden layers (50 then seven of 20).  The output head is a
 single sigmoid unit giving P(y=1 | x).
 
+A model's parameters live in one contiguous float64 vector ``theta``, in
+layer order: each weight matrix row-major followed by its bias vector,
+then the output weights and output bias.  The per-layer arrays are views
+into it.
+
 Model file format "MLP1": an ASCII header (magic, depth, layer sizes,
-SELU constants), then all parameters as little-endian float64 in layer
-order, each weight matrix row-major followed by its bias vector, then the
-output weights and output bias.
+SELU constants), then ``theta`` verbatim as little-endian float64.
 """
 
 from __future__ import annotations
@@ -87,54 +90,68 @@ class Architecture:
         return cls(name="custom", hidden=list(hidden))
 
 
+def n_params(sizes: list[int]) -> int:
+    """Length of ``theta`` for layer sizes [p, n_1, ..., n_d]."""
+    return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])) + sizes[-1] + 1
+
+
 @dataclass
 class MLPModel:
+    """``weights[i]`` (n_{i-1}, n_i), ``biases[i]`` (n_i,) and ``out_w`` (n_d,)
+    are views into ``theta``, and ``out_b`` reads and writes ``theta[-1]``;
+    write through the views, never rebind them."""
+
     layer_sizes: list[int]  # [p, n_1, ..., n_d]
-    weights: list[np.ndarray]  # W_i of shape (n_{i-1}, n_i)
-    biases: list[np.ndarray]
-    out_w: np.ndarray  # (n_d,)
-    out_b: float
+    theta: np.ndarray  # (n_params(layer_sizes),) float64
     selu_lambda: float = SELU_LAMBDA
     selu_alpha: float = SELU_ALPHA
 
+    def __post_init__(self):
+        sizes = self.layer_sizes
+        need = n_params(sizes)
+        if self.theta.shape != (need,):
+            raise ShapeMismatch(f"theta has shape {self.theta.shape}, sizes {sizes} need ({need},)")
+        self.weights, self.biases = [], []
+        pos = 0
+        for a, b in zip(sizes[:-1], sizes[1:]):
+            self.weights.append(self.theta[pos : pos + a * b].reshape(a, b))
+            pos += a * b
+            self.biases.append(self.theta[pos : pos + b])
+            pos += b
+        self.out_w = self.theta[pos:-1]
+
+    @property
+    def out_b(self) -> float:
+        return float(self.theta[-1])
+
+    @out_b.setter
+    def out_b(self, value: float):
+        self.theta[-1] = value
+
     @property
     def depth(self) -> int:
-        return len(self.weights)
+        return len(self.layer_sizes) - 1
 
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
 
     def copy(self) -> "MLPModel":
-        return MLPModel(
-            layer_sizes=list(self.layer_sizes),
-            weights=[W.copy() for W in self.weights],
-            biases=[b.copy() for b in self.biases],
-            out_w=self.out_w.copy(),
-            out_b=float(self.out_b),
-            selu_lambda=self.selu_lambda,
-            selu_alpha=self.selu_alpha,
-        )
+        return MLPModel(list(self.layer_sizes), self.theta.copy(), self.selu_lambda, self.selu_alpha)
 
 
-def init(arch: Architecture, p: int, seed: int, weight_scale: str = "lecun") -> MLPModel:
-    """Gaussian init, biases zero.  weight_scale "lecun" draws std
-    sqrt(1/fan_in) (the scale the SELU constants are designed around, and
-    the one that keeps deep stacks variance-stable); "he" draws the larger
-    sqrt(2/fan_in)."""
+def init(arch: Architecture, p: int, seed: int) -> MLPModel:
+    """Gaussian weights of std sqrt(1/fan_in), the scale the SELU constants
+    are designed around and the one that keeps deep stacks variance-stable;
+    biases zero."""
     if p < 1:
         raise MLPError(f"need p >= 1 inputs, got {p}")
-    if weight_scale not in ("lecun", "he"):
-        raise MLPError(f"unknown weight_scale {weight_scale!r}")
-    numerator = 1.0 if weight_scale == "lecun" else 2.0
-    rng = np.random.default_rng(seed)
     sizes = [p] + list(arch.hidden)
-    weights, biases = [], []
-    for n_prev, n_cur in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(numerator / n_prev), size=(n_prev, n_cur)))
-        biases.append(np.zeros(n_cur))
-    out_w = rng.normal(0.0, np.sqrt(numerator / sizes[-1]), size=sizes[-1])
-    return MLPModel(layer_sizes=sizes, weights=weights, biases=biases, out_w=out_w, out_b=0.0)
+    model = MLPModel(sizes, np.zeros(n_params(sizes)))
+    rng = np.random.default_rng(seed)
+    for W in model.weights + [model.out_w]:
+        W[...] = rng.normal(0.0, np.sqrt(1.0 / W.shape[0]), size=W.shape)
+    return model
 
 
 def hidden_activations(model: MLPModel, X: np.ndarray) -> list[np.ndarray]:
@@ -159,13 +176,6 @@ def forward_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(h @ model.out_w + model.out_b)
 
 
-def forward(model: MLPModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_inputs:
-        raise ShapeMismatch(f"input has shape {x.shape}, model expects ({model.n_inputs},)")
-    return float(forward_batch(model, x[None, :])[0])
-
-
 def save_model(model: MLPModel, path):
     with open(path, "wb") as f:
         header = (
@@ -177,11 +187,7 @@ def save_model(model: MLPModel, path):
             "end\n"
         )
         f.write(header.encode("ascii"))
-        for W, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.out_w, dtype="<f8").tobytes())
-        f.write(np.float64(model.out_b).astype("<f8").tobytes())
+        f.write(np.ascontiguousarray(model.theta, dtype="<f8").tobytes())
 
 
 def load_model(path) -> MLPModel:
@@ -212,25 +218,9 @@ def load_model(path) -> MLPModel:
             raise ShapeCorruption(f"{path}: bad header value: {e}") from None
         if depth != len(sizes) - 1 or min(sizes) < 1:
             raise ShapeCorruption(f"{path}: depth {depth} and sizes {sizes} do not describe a network")
-        blob = np.frombuffer(f.read(), dtype="<f8")
-    need = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])) + sizes[-1] + 1
-    if blob.size != need:
-        raise ShapeCorruption(f"{path}: expected {need} parameters, found {blob.size}")
-    weights, biases = [], []
-    pos = 0
-    for n_prev, n_cur in zip(sizes[:-1], sizes[1:]):
-        weights.append(blob[pos : pos + n_prev * n_cur].reshape(n_prev, n_cur).copy())
-        pos += n_prev * n_cur
-        biases.append(blob[pos : pos + n_cur].copy())
-        pos += n_cur
-    out_w = blob[pos : pos + sizes[-1]].copy()
-    pos += sizes[-1]
-    return MLPModel(
-        layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
-        out_w=out_w,
-        out_b=float(blob[pos]),
-        selu_lambda=selu_lambda,
-        selu_alpha=selu_alpha,
-    )
+        blob = f.read()
+    need = n_params(sizes)
+    if len(blob) != 8 * need:
+        raise ShapeCorruption(f"{path}: expected {need} parameters ({8 * need} bytes), got {len(blob)} bytes")
+    theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)  # an owned, writable copy
+    return MLPModel(sizes, theta, selu_lambda, selu_alpha)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import MLPModel, ShapeMismatch, hidden_activations, selu, selu_prime, sigmoid
+from .evaluation import confusion, metrics
+from .mlp import MLPModel, ShapeMismatch, forward_batch, hidden_activations, selu, selu_prime, sigmoid
 
 PROB_EPS = 1e-12  # clamp inside the loss only; gradients use P - y directly
 
@@ -88,15 +89,6 @@ class TrainLog:
                 )
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    out_w: np.ndarray
-    out_b: float
-    loss: float = float("nan")  # the batch's mean NLL; unused by the momentum buffer
-
-
 def _check_batch(model, X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -115,12 +107,13 @@ def _mean_nll(P: np.ndarray, y: np.ndarray) -> float:
 def loss(model: MLPModel, X: np.ndarray, y: np.ndarray) -> float:
     """Mean negative log likelihood of the labels under the model."""
     X, y = _check_batch(model, X, y)
-    return _mean_nll(sigmoid(hidden_activations(model, X)[-1] @ model.out_w + model.out_b), y)
+    return _mean_nll(forward_batch(model, X), y)
 
 
-def grad(model: MLPModel, X: np.ndarray, y: np.ndarray) -> Gradients:
+def grad(model: MLPModel, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact gradient of the mean negative log likelihood via backpropagation,
-    together with that loss (equal to ``loss(model, X, y)``)."""
+    flat in ``model.theta``'s order, together with that loss (equal to
+    ``loss(model, X, y)``)."""
     X, y = _check_batch(model, X, y)
     n = X.shape[0]
     lam, alpha = model.selu_lambda, model.selu_alpha
@@ -134,19 +127,18 @@ def grad(model: MLPModel, X: np.ndarray, y: np.ndarray) -> Gradients:
         hs.append(h)
     P = sigmoid(h @ model.out_w + model.out_b)
 
+    g = MLPModel(model.layer_sizes, np.empty_like(model.theta))
     delta_u = (P - y) / n
-    g_out_w = hs[-1].T @ delta_u
-    g_out_b = float(delta_u.sum())
-    dWs = [None] * model.depth
-    dbs = [None] * model.depth
+    g.out_w[:] = hs[-1].T @ delta_u
+    g.out_b = delta_u.sum()
     delta_h = np.outer(delta_u, model.out_w)
     for i in range(model.depth - 1, -1, -1):
         delta_z = delta_h * selu_prime(zs[i], lam, alpha)
-        dWs[i] = hs[i].T @ delta_z
-        dbs[i] = delta_z.sum(axis=0)
+        g.weights[i][:] = hs[i].T @ delta_z
+        g.biases[i][:] = delta_z.sum(axis=0)
         if i > 0:
             delta_h = delta_z @ model.weights[i].T
-    return Gradients(weights=dWs, biases=dbs, out_w=g_out_w, out_b=g_out_b, loss=_mean_nll(P, y))
+    return g.theta, _mean_nll(P, y)
 
 
 def step_size(t: int, cfg: TrainConfig) -> float:
@@ -155,14 +147,12 @@ def step_size(t: int, cfg: TrainConfig) -> float:
 
 
 def _validation_metrics(model, X_val, y_val, threshold=0.5):
+    """(accuracy, sensitivity, specificity); nan where a class is absent."""
     probs = sigmoid(hidden_activations(model, X_val)[-1] @ model.out_w + model.out_b)
-    pred = probs >= threshold
-    pos = y_val == 1
-    neg = ~pos
-    acc = float(np.mean(pred == pos))
-    sens = float(np.mean(pred[pos])) if pos.any() else float("nan")
-    spec = float(np.mean(~pred[neg])) if neg.any() else float("nan")
-    return acc, sens, spec
+    c = confusion(probs, y_val, threshold)
+    sens, spec, _ = metrics(c)
+    nan = float("nan")
+    return (c.tp + c.tn) / len(y_val), nan if sens is None else sens, nan if spec is None else spec
 
 
 def train(
@@ -188,14 +178,8 @@ def train(
 
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    use_momentum = cfg.optimizer == "sgd_momentum"
-    mu = cfg.momentum if use_momentum else 0.0
-    vel = Gradients(
-        weights=[np.zeros_like(W) for W in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
-        out_w=np.zeros_like(model.out_w),
-        out_b=0.0,
-    )
+    mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
+    vel = np.zeros_like(model.theta)
 
     log = TrainLog()
     best = model.copy()
@@ -210,19 +194,11 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            g = grad(model, X_tr[batch], y_tr[batch])
-            seen_loss += g.loss * len(batch)
+            g, batch_loss = grad(model, X_tr[batch], y_tr[batch])
+            seen_loss += batch_loss * len(batch)
             seen_rows += len(batch)
-            eta = step_size(t, cfg)
-            for i in range(model.depth):
-                vel.weights[i] = mu * vel.weights[i] - eta * g.weights[i]
-                vel.biases[i] = mu * vel.biases[i] - eta * g.biases[i]
-                model.weights[i] += vel.weights[i]
-                model.biases[i] += vel.biases[i]
-            vel.out_w = mu * vel.out_w - eta * g.out_w
-            vel.out_b = mu * vel.out_b - eta * g.out_b
-            model.out_w += vel.out_w
-            model.out_b += vel.out_b
+            vel = mu * vel - step_size(t, cfg) * g
+            model.theta += vel
             t += 1
 
             if t % eval_every == 0 or t >= cfg.total_steps:

@@ -155,6 +155,26 @@ class TestStageFiles:
         assert "EncodeError" in err and "stats.tsv" in err
 
 
+    def test_zero_variance_retained_column_exit_1(self, trained_copy, capsys):
+        stats = trained_copy / "stats.tsv"
+        lines = stats.read_text().splitlines()
+        j = next(i for i, ln in enumerate(lines[1:], 1) if ln.endswith("\t1"))
+        name, mean, _, _ = lines[j].split("\t")
+        lines[j] = f"{name}\t{mean}\t0.0\t1"
+        stats.write_text("\n".join(lines) + "\n")
+        assert run("eval", "--out-dir", trained_copy, "--arch", "nn2") == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "stats.tsv" in err and "variance" in err
+
+    @pytest.mark.parametrize("stage", [("train", "--steps", 5), ("eval",)], ids=["train", "eval"])
+    def test_renamed_stats_column_exit_1(self, trained_copy, capsys, stage):
+        stats = trained_copy / "stats.tsv"
+        stats.write_text(stats.read_text().replace("\nage\t", "\nzzz\t"))
+        assert run(*stage, "--out-dir", trained_copy, "--arch", "nn2") == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "'zzz' vs 'age'" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -9,7 +9,6 @@ from edrisk.encode import (
     WidthMismatch,
     apply_stats,
     encode_cohort,
-    encode_visit,
     feature_names,
     fit_stats,
     load_dataset,
@@ -17,9 +16,8 @@ from edrisk.encode import (
     raw_width,
     save_dataset,
     save_stats,
-    visit_diagnosis_vector,
 )
-from edrisk.schema import CCS_SLOT, N_CCS, NUMERIC_FIELDS, default_spec
+from edrisk.schema import CATEGORICAL_FIELDS, CCS_SLOT, N_CCS, NUMERIC_FIELDS, default_spec
 
 from test_schema import make_record
 
@@ -27,6 +25,31 @@ SPEC = default_spec()
 WIDTH = raw_width(SPEC)
 N_NUM = len(NUMERIC_FIELDS)
 DIAG_OFF = N_NUM + SPEC.one_hot_width
+
+
+def visit_diagnosis_vector(record):
+    """One-hot union of the visit's CCS codes (duplicates count once)."""
+    v = np.zeros(N_CCS)
+    v[[CCS_SLOT[c] for c in set(record.ccs_codes)]] = 1.0
+    return v
+
+
+def encode_visit(record, history, prior_visit_count, spec):
+    """Oracle for one row of ``encode_cohort``: encode one visit given the
+    patient's cumulative diagnosis vector from strictly earlier visits.
+    Returns (feature row, updated cumulative vector)."""
+    cumulative = history + visit_diagnosis_vector(record)
+    row = np.empty(raw_width(spec))
+    row[:N_NUM] = [getattr(record, n) for n in NUMERIC_FIELDS]
+    off = N_NUM
+    for fname in CATEGORICAL_FIELDS:
+        w = spec.width(fname)
+        row[off : off + w] = 0.0
+        row[off + spec.level_index(fname, getattr(record, fname))] = 1.0
+        off += w
+    row[off : off + N_CCS] = cumulative
+    row[off + N_CCS] = prior_visit_count + 1
+    return row, cumulative
 
 
 def random_records(rng, n_patients, max_visits=5, interleave=False):
@@ -73,7 +96,7 @@ class TestEncodeVisit:
         rec = make_record()
         row, _ = encode_visit(rec, np.zeros(N_CCS), 0, SPEC)
         off = N_NUM
-        for fname in schema.CATEGORICAL_FIELDS:
+        for fname in CATEGORICAL_FIELDS:
             w = SPEC.width(fname)
             block = row[off : off + w]
             assert block.sum() == 1.0
@@ -232,6 +255,27 @@ class TestStats:
         _rewrite(path, mutate)
         with pytest.raises(EncodeError, match="line 2"):
             load_stats(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["c\tnan\t1.0\t1", "c\tinf\t1.0\t0", "c\t0.0\t0.0\t1", "c\t0.0\tnan\t1",
+         "c\t0.0\tinf\t1", "c\t0.0\t-1.0\t1"],
+        ids=["nan-mean", "inf-mean-dropped", "zero-variance", "nan-variance", "inf-variance", "negative-variance"],
+    )
+    def test_unusable_stats_value_rejected(self, tmp_path, line):
+        path = tmp_path / "stats.tsv"
+        save_stats(fit_stats(np.random.default_rng(25).normal(size=(5, 3))), path)
+        _rewrite(path, lambda ls: ls[:2] + [line] + ls[3:])
+        with pytest.raises(EncodeError, match="line 3: column 'c'"):
+            load_stats(path)
+
+    def test_zero_variance_of_dropped_column_accepted(self, tmp_path):
+        path = tmp_path / "stats.tsv"
+        X = np.random.default_rng(26).normal(size=(5, 3))
+        X[:, 1] = 4.0
+        save_stats(fit_stats(X), path)
+        stats = load_stats(path)
+        assert stats.variances[1] == 0.0 and not stats.retained[1]
 
     def test_non_utf8_stats_rejected(self, tmp_path):
         path = tmp_path / "stats.tsv"

@@ -10,11 +10,11 @@ from edrisk.mlp import (
     MLPModel,
     ShapeCorruption,
     ShapeMismatch,
-    forward,
     forward_batch,
     hidden_activations,
     init,
     load_model,
+    n_params,
     save_model,
     selu,
     selu_prime,
@@ -135,10 +135,6 @@ class TestInit:
         m = init(Architecture.custom([400]), p=400, seed=3)
         assert abs(m.weights[0].std() - np.sqrt(1.0 / 400)) < 0.003
 
-    def test_he_scale_optional(self):
-        m = init(Architecture.custom([400]), p=400, seed=3, weight_scale="he")
-        assert abs(m.weights[0].std() - np.sqrt(2.0 / 400)) < 0.004
-
     def test_deterministic(self):
         a = init(Architecture.named("nn2"), p=10, seed=9)
         b = init(Architecture.named("nn2"), p=10, seed=9)
@@ -150,8 +146,6 @@ class TestInit:
     def test_bad_args(self):
         with pytest.raises(MLPError):
             init(Architecture.named("nn2"), p=0, seed=0)
-        with pytest.raises(MLPError):
-            init(Architecture.named("nn2"), p=5, seed=0, weight_scale="xavier")
 
 
 class TestForward:
@@ -160,7 +154,7 @@ class TestForward:
         for W in m.weights:
             W[:] = 0.0
         m.out_w[:] = 0.0
-        assert forward(m, np.zeros(4)) == 0.5
+        assert forward_batch(m, np.zeros((1, 4)))[0] == 0.5
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -169,7 +163,7 @@ class TestForward:
             hidden = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))]
             m = random_model(rng, p, hidden)
             x = rng.normal(size=p)
-            assert abs(forward(m, x) - oracle_forward(m, x)) < 1e-12
+            assert abs(forward_batch(m, x[None])[0] - oracle_forward(m, x)) < 1e-12
 
     def test_uses_model_selu_constants(self):
         rng = np.random.default_rng(9)
@@ -187,7 +181,7 @@ class TestForward:
         m = random_model(rng, 7, [6, 4])
         X = rng.normal(size=(20, 7))
         batch = forward_batch(m, X)
-        rows = np.array([forward(m, x) for x in X])
+        rows = np.array([forward_batch(m, x[None])[0] for x in X])
         np.testing.assert_allclose(batch, rows, atol=1e-15)
 
     def test_empty_batch(self):
@@ -198,7 +192,7 @@ class TestForward:
     def test_shape_mismatch(self):
         m = init(Architecture.named("nn2"), p=3, seed=0)
         with pytest.raises(ShapeMismatch):
-            forward(m, np.zeros(4))
+            forward_batch(m, np.zeros((1, 4)))
         with pytest.raises(ShapeMismatch):
             forward_batch(m, np.zeros((2, 5)))
 
@@ -214,6 +208,75 @@ class TestForward:
         m = random_model(rng, 5, [8, 8])
         P = forward_batch(m, rng.normal(scale=10, size=(100, 5)))
         assert np.all((P > 0) & (P < 1))
+
+
+def reference_save(model, path):
+    """The MLP1 writer as it was when parameters lived in per-layer arrays."""
+    with open(path, "wb") as f:
+        f.write(
+            f"MLP1\ndepth={model.depth}\nsizes={','.join(str(s) for s in model.layer_sizes)}\n"
+            f"lambda={model.selu_lambda!r}\nalpha={model.selu_alpha!r}\nend\n".encode("ascii")
+        )
+        for W, b in zip(model.weights, model.biases):
+            f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(model.out_w, dtype="<f8").tobytes())
+        f.write(np.float64(model.out_b).astype("<f8").tobytes())
+
+
+class TestFlatLayout:
+    def test_n_params(self):
+        assert n_params([3, 4, 5]) == 3 * 4 + 4 + 4 * 5 + 5 + 5 + 1
+        m = init(Architecture.named("nn8"), p=30, seed=0)
+        assert m.theta.shape == (n_params(m.layer_sizes),)
+
+    @pytest.mark.parametrize("arch", ["nn2", "nn4", "nn8", "custom"])
+    def test_file_matches_per_layer_writer(self, tmp_path, arch):
+        rng = np.random.default_rng(12)
+        if arch == "custom":
+            m = random_model(rng, 6, [5, 4, 3])
+        else:
+            m = init(Architecture.named(arch), p=17, seed=4)
+            m.out_b = 0.25
+        save_model(m, tmp_path / "flat.mlp")
+        reference_save(m, tmp_path / "ref.mlp")
+        assert (tmp_path / "flat.mlp").read_bytes() == (tmp_path / "ref.mlp").read_bytes()
+
+    def test_views_write_through_at_file_offsets(self):
+        m = init(Architecture.custom([4, 5]), p=3, seed=0)
+        # file order: W0 (3x4) at 0, b0 at 12, W1 (4x5) at 16, b1 at 36, out_w at 41, out_b at 46
+        m.weights[1][2, 3] = 7.0
+        m.biases[0][1] = 8.0
+        m.out_w[4] = 9.0
+        m.out_b = 10.0
+        assert m.theta[16 + 2 * 5 + 3] == 7.0
+        assert m.theta[12 + 1] == 8.0
+        assert m.theta[41 + 4] == 9.0
+        assert m.theta[46] == 10.0 and m.theta.size == 47
+        m.theta[0] = 11.0
+        assert m.weights[0][0, 0] == 11.0
+
+    def test_wrong_theta_length_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            MLPModel([3, 2], np.zeros(n_params([3, 2]) + 1))
+
+    def test_copy_shares_no_memory(self):
+        m = random_model(np.random.default_rng(13), 4, [3, 2])
+        c = m.copy()
+        assert not np.shares_memory(c.theta, m.theta)
+        np.testing.assert_array_equal(c.theta, m.theta)
+        c.weights[0][:] = 0.0
+        c.out_b = 5.0
+        assert np.any(m.weights[0] != 0.0) and m.out_b != 5.0
+
+    def test_loaded_theta_is_owned_and_writeable(self, tmp_path):
+        m = random_model(np.random.default_rng(14), 4, [3])
+        save_model(m, tmp_path / "m.mlp")
+        loaded = load_model(tmp_path / "m.mlp")
+        assert loaded.theta.flags.writeable and loaded.theta.flags.owndata
+        assert loaded.theta.dtype == np.float64
+        loaded.out_w[0] += 1.0
+        assert loaded.theta[-4] == m.theta[-4] + 1.0  # a 3-unit head: out_w is theta[-4:-1]
 
 
 class TestModelIO:
@@ -254,6 +317,9 @@ class TestModelIO:
         save_model(m, path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
+        with pytest.raises(ShapeCorruption):
+            load_model(path)
+        path.write_bytes(data[:-3])  # not a whole number of float64 values
         with pytest.raises(ShapeCorruption):
             load_model(path)
 

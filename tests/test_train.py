@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from edrisk.mlp import Architecture, forward_batch, init
+from edrisk.mlp import Architecture, MLPModel, forward_batch, init
 from edrisk.train import (
     DivergenceDetected,
     EmptySet,
-    Gradients,
     LogEntry,
     TrainConfig,
     TrainError,
@@ -19,46 +18,16 @@ from edrisk.train import (
 )
 
 
-def flatten_params(model):
-    parts = []
-    for W, b in zip(model.weights, model.biases):
-        parts += [W.ravel(), b.ravel()]
-    parts += [model.out_w.ravel(), np.array([model.out_b])]
-    return np.concatenate(parts)
-
-
-def set_params(model, theta):
-    pos = 0
-    for W, b in zip(model.weights, model.biases):
-        W[:] = theta[pos : pos + W.size].reshape(W.shape)
-        pos += W.size
-        b[:] = theta[pos : pos + b.size]
-        pos += b.size
-    model.out_w[:] = theta[pos : pos + model.out_w.size]
-    pos += model.out_w.size
-    model.out_b = float(theta[pos])
-
-
-def flatten_grads(g):
-    parts = []
-    for W, b in zip(g.weights, g.biases):
-        parts += [W.ravel(), b.ravel()]
-    parts += [g.out_w.ravel(), np.array([g.out_b])]
-    return np.concatenate(parts)
-
-
 def finite_difference(model, X, y, h=1e-6):
-    theta0 = flatten_params(model)
-    fd = np.empty_like(theta0)
+    """Central differences of ``loss`` in each entry of ``theta``."""
     work = model.copy()
-    for j in range(len(theta0)):
-        theta = theta0.copy()
-        theta[j] = theta0[j] + h
-        set_params(work, theta)
+    fd = np.empty_like(work.theta)
+    for j, theta_j in enumerate(model.theta):
+        work.theta[j] = theta_j + h
         up = loss(work, X, y)
-        theta[j] = theta0[j] - h
-        set_params(work, theta)
+        work.theta[j] = theta_j - h
         down = loss(work, X, y)
+        work.theta[j] = theta_j
         fd[j] = (up - down) / (2 * h)
     return fd
 
@@ -73,9 +42,10 @@ def separable_problem(rng, n=400, p=6):
 
 def _reference_train(model, train_set, val_set, cfg):
     """The training loop as it was when each evaluation logged a full pass of
-    ``loss`` over the training set.  It also returns, per evaluation, the
-    (loss, rows) of every minibatch since the previous one, each taken with
-    ``loss`` under the parameters before its step."""
+    ``loss`` over the training set and the momentum step walked the layers
+    one by one.  It also returns, per evaluation, the (loss, rows) of every
+    minibatch since the previous one, each taken with ``loss`` under the
+    parameters before its step."""
     X_tr, y_tr = _check_batch(model, *train_set)
     X_val, y_val = _check_batch(model, *val_set)
     n = X_tr.shape[0]
@@ -85,12 +55,9 @@ def _reference_train(model, train_set, val_set, cfg):
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
-    vel = Gradients(
-        weights=[np.zeros_like(W) for W in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
-        out_w=np.zeros_like(model.out_w),
-        out_b=0.0,
-    )
+    vel_w = [np.zeros_like(W) for W in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    vel_out_w, vel_out_b = np.zeros_like(model.out_w), 0.0
     log = TrainLog()
     batch_losses, pending = [], []
     best = model.copy()
@@ -105,17 +72,17 @@ def _reference_train(model, train_set, val_set, cfg):
             batch = order[start : start + cfg.batch_size]
             Xb, yb = X_tr[batch], y_tr[batch]
             pending.append((loss(model, Xb, yb), len(batch)))
-            g = grad(model, Xb, yb)
+            g = MLPModel(model.layer_sizes, grad(model, Xb, yb)[0])  # per-layer views
             eta = step_size(t, cfg)
             for i in range(model.depth):
-                vel.weights[i] = mu * vel.weights[i] - eta * g.weights[i]
-                vel.biases[i] = mu * vel.biases[i] - eta * g.biases[i]
-                model.weights[i] += vel.weights[i]
-                model.biases[i] += vel.biases[i]
-            vel.out_w = mu * vel.out_w - eta * g.out_w
-            vel.out_b = mu * vel.out_b - eta * g.out_b
-            model.out_w += vel.out_w
-            model.out_b += vel.out_b
+                vel_w[i] = mu * vel_w[i] - eta * g.weights[i]
+                vel_b[i] = mu * vel_b[i] - eta * g.biases[i]
+                model.weights[i] += vel_w[i]
+                model.biases[i] += vel_b[i]
+            vel_out_w = mu * vel_out_w - eta * g.out_w
+            vel_out_b = mu * vel_out_b - eta * g.out_b
+            model.out_w += vel_out_w
+            model.out_b += vel_out_b
             t += 1
 
             if t % eval_every == 0 or t >= cfg.total_steps:
@@ -180,7 +147,7 @@ def worst_fd_error(m, rng):
         b[:] = 0.1 * rng.normal(size=b.shape)
     X = rng.normal(size=(8, 5))
     y = (rng.random(8) < 0.5).astype(np.float64)
-    g = flatten_grads(grad(m, X, y))
+    g, _ = grad(m, X, y)
     fd = finite_difference(m, X, y)
     return np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8))
 
@@ -202,7 +169,7 @@ class TestGrad:
         m.out_b = 0.3
         X = rng.normal(size=(33, 7))
         y = (rng.random(33) < 0.5).astype(np.float64)
-        assert grad(m, X, y).loss == loss(m, X, y)
+        assert grad(m, X, y)[1] == loss(m, X, y)
 
     def test_symmetric_batch_zeroes_output_bias_gradient(self):
         m = init(Architecture.named("nn2"), p=3, seed=0)
@@ -211,8 +178,8 @@ class TestGrad:
         m.out_w[:] = 0.0
         X = np.random.default_rng(5).normal(size=(6, 3))
         y = np.array([0, 1, 0, 1, 0, 1], dtype=np.float64)
-        g = grad(m, X, y)
-        assert g.out_b == pytest.approx(0.0, abs=1e-15)
+        g, _ = grad(m, X, y)
+        assert g[-1] == pytest.approx(0.0, abs=1e-15)  # the output bias is theta's last entry
 
     def test_mean_convention_batch_invariance(self):
         # duplicating every row leaves the mean-loss gradient unchanged
@@ -220,8 +187,8 @@ class TestGrad:
         m = init(Architecture.custom([5]), p=4, seed=7)
         X = rng.normal(size=(9, 4))
         y = (rng.random(9) < 0.5).astype(np.float64)
-        g1 = flatten_grads(grad(m, X, y))
-        g2 = flatten_grads(grad(m, np.vstack([X, X]), np.concatenate([y, y])))
+        g1, _ = grad(m, X, y)
+        g2, _ = grad(m, np.vstack([X, X]), np.concatenate([y, y]))
         np.testing.assert_allclose(g1, g2, atol=1e-14)
 
     def test_small_step_decreases_loss(self):
@@ -230,13 +197,8 @@ class TestGrad:
         X = rng.normal(size=(64, 5))
         y = (rng.random(64) < 0.5).astype(np.float64)
         before = loss(m, X, y)
-        g = grad(m, X, y)
-        eta = 1e-3
-        for i in range(m.depth):
-            m.weights[i] -= eta * g.weights[i]
-            m.biases[i] -= eta * g.biases[i]
-        m.out_w -= eta * g.out_w
-        m.out_b -= eta * g.out_b
+        g, _ = grad(m, X, y)
+        m.theta -= 1e-3 * g
         assert loss(m, X, y) < before
 
 
@@ -383,6 +345,7 @@ class TestTrain:
             np.testing.assert_array_equal(W, R)
         np.testing.assert_array_equal(best.out_w, ref.out_w)
         assert best.out_b == ref.out_b
+        np.testing.assert_array_equal(best.theta, ref.theta)
         assert reason == ref_reason == ("early_stop" if patience == 1 else "budget_exhausted")
         assert _val_columns(log) == _val_columns(ref_log)
         for entry, seen in zip(log.entries, batch_losses):
