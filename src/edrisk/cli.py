@@ -70,10 +70,10 @@ def cmd_synth(args) -> int:
     t0 = time.time()
     cfg = synth.default_config(n_patients=args.patients, seed=args.seed)
     spec = schema.default_spec()
-    records = synth.generate(cfg, spec)
+    cohort = synth.generate(cfg, spec)
     spec.save(out / "spec.txt")
-    schema.write_visits(records, out / "cohort.csv")
-    summary = schema.validate_cohort(records)
+    schema.write_visits(cohort, out / "cohort.csv")
+    summary = schema.validate_cohort(cohort)
     print(
         f"synth: {summary.patients} patients, {summary.visits} visits, "
         f"prevalence {summary.prevalence:.4f}" if summary.prevalence is not None else "synth: empty cohort"
@@ -87,8 +87,8 @@ def cmd_encode(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     spec = schema.CategoricalSpec.load(_require(Path(args.spec), "categorical spec"))
-    records = schema.parse_visits(_require(Path(args.cohort), "cohort file"), spec)
-    ds = encode.encode_cohort(records, spec)
+    cohort = schema.parse_visits(_require(Path(args.cohort), "cohort file"), spec)
+    ds = encode.encode_cohort(cohort, spec)
     encode.save_dataset(ds, out / "features.hdr", out / "features.f64", out / "meta.tsv")
     print(f"encode: {ds.n_rows} rows x {ds.raw_width} columns")
     _log_stage(out, "encode", t0, [out / "features.hdr", out / "features.f64"])
@@ -167,9 +167,10 @@ def cmd_train(args) -> int:
     if arch not in ARCH_INDEX:
         raise ConfigError(f"unknown --arch {args.arch!r}")
     ds, stats, pre, plan, tr, val = _load_train_inputs(out)
-    X_pre = encode.apply_stats(ds.features[pre], stats)
-    y_pre = ds.labels[pre]
-    X_boot, y_boot = X_pre[plan], y_pre[plan]
+    # each set is gathered once from the raw matrix; standardising is
+    # element-wise, so this equals standardising first and gathering after
+    rows = pre[plan]
+    train_rows, val_rows = rows[tr], rows[val]
     cfg = training.TrainConfig(
         optimizer=ARCH_OPTIMIZER[arch],
         eta0=args.eta0,
@@ -180,7 +181,10 @@ def cmd_train(args) -> int:
     )
     model = mlp.init(mlp.Architecture.named(arch), stats.p, seed=args.seed + 10 + ARCH_INDEX[arch])
     model, log, reason = training.train(
-        model, (X_boot[tr], y_boot[tr]), (X_boot[val], y_boot[val]), cfg
+        model,
+        (encode.apply_stats(ds.features[train_rows], stats), ds.labels[train_rows]),
+        (encode.apply_stats(ds.features[val_rows], stats), ds.labels[val_rows]),
+        cfg,
     )
     mlp.save_model(model, out / f"model_{arch}.mlp")
     log.save(out / f"trainlog_{arch}.tsv")
@@ -259,16 +263,22 @@ def cmd_repro(args) -> int:
 
 
 def _read_config_file(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise ConfigError(f"cannot read config file: {e}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     kv = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value")
-            k, v = line.split("=", 1)
-            kv[k.strip().replace("-", "_")] = v.strip()
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected key=value")
+        k, v = line.split("=", 1)
+        kv[k.strip().replace("-", "_")] = v.strip()
     return kv
 
 

@@ -1,10 +1,16 @@
-"""Feature encoding: visits -> fixed-width numeric matrix.
+"""Feature encoding: a ``schema.Cohort`` -> fixed-width numeric matrix.
 
 Row layout: [6 numeric fields | one-hot blocks in spec order | 306-entry
 cumulative diagnosis block | visit counter].  The diagnosis block for a
 row is the running sum of per-visit one-hot code vectors over that
 patient's visits up to and including the row; duplicate codes within one
 visit count once (set semantics), repeats across visits accumulate.
+
+``encode_cohort`` works on whole columns: the one-hot blocks and the
+per-visit code indicators are set by fancy indexing, and the diagnosis
+block is the indicators summed in place by ``Cohort.accumulate``, a
+cumulative sum in (patient_id, visit_seq) order.  Every entry is a small integer, so the
+sums are exact.
 
 Normalization stats (per-column mean, population variance, zero-variance
 drop mask) are fit on training rows only and reapplied verbatim to test
@@ -23,8 +29,13 @@ from .schema import (
     N_CCS,
     NUMERIC_FIELDS,
     CategoricalSpec,
-    VisitRecord,
+    Cohort,
 )
+
+N_NUM = len(NUMERIC_FIELDS)
+# CCS code -> its column in the diagnosis block
+_CCS_COLUMN = np.zeros(max(CCS_SLOT) + 1, dtype=np.int64)
+_CCS_COLUMN[list(CCS_SLOT)] = list(CCS_SLOT.values())
 
 
 class EncodeError(Exception):
@@ -40,7 +51,7 @@ class WidthMismatch(EncodeError):
 
 
 def raw_width(spec: CategoricalSpec) -> int:
-    return len(NUMERIC_FIELDS) + spec.one_hot_width + N_CCS + 1
+    return N_NUM + spec.one_hot_width + N_CCS + 1
 
 
 def feature_names(spec: CategoricalSpec) -> list[str]:
@@ -86,56 +97,33 @@ class EncodedDataset:
         )
 
 
-def encode_cohort(records: list[VisitRecord], spec: CategoricalSpec) -> EncodedDataset:
-    """Encode all visits.  Rows come out in input order; cumulative state is
-    threaded per patient in visit_seq order, so interleaved file orders give
-    the same matrix as sorted ones."""
-    n = len(records)
-    width = raw_width(spec)
-    X = np.zeros((n, width))
-    labels = np.empty(n, dtype=np.int64)
-    counts = np.empty(n, dtype=np.int64)
-
-    num_cols = np.array(
-        [[getattr(r, f) for f in NUMERIC_FIELDS] for r in records], dtype=np.float64
-    ).reshape(n, len(NUMERIC_FIELDS))
-    X[:, : len(NUMERIC_FIELDS)] = num_cols
-
-    off = len(NUMERIC_FIELDS)
-    rows_idx = np.arange(n)
-    for fname in CATEGORICAL_FIELDS:
-        idx = np.array([spec.level_index(fname, getattr(r, fname)) for r in records], dtype=np.int64)
-        X[rows_idx, off + idx] = 1.0
-        off += spec.width(fname)
-
-    # per-visit one-hot diagnosis matrix, then a per-patient running sum
-    V = np.zeros((n, N_CCS))
-    for i, r in enumerate(records):
-        V[i, [CCS_SLOT[c] for c in set(r.ccs_codes)]] = 1.0
-        labels[i] = r.outcome
-
-    order = sorted(range(n), key=lambda i: (records[i].patient_id, records[i].visit_seq))
-    cum = np.empty_like(V)
-    prev_pid = None
-    running = None
-    for pos, i in enumerate(order):
-        pid = records[i].patient_id
-        if pid != prev_pid:
-            running = V[i].copy()
-            prev_pid = pid
-        else:
-            running = running + V[i]
-        cum[i] = running
-        counts[i] = records[i].visit_seq + 1
-    X[:, off : off + N_CCS] = cum
-    X[:, off + N_CCS] = counts
-
+def encode_cohort(c: Cohort, spec: CategoricalSpec | None = None) -> EncodedDataset:
+    """Encode all visits.  Rows come out in cohort order; each row's
+    diagnosis block sums its patient's visits up to its visit_seq, so
+    interleaved file orders give the same matrix as sorted ones.  ``spec``,
+    when given, must equal the cohort's own."""
+    if spec is not None and spec != c.spec:
+        raise EncodeError("the spec differs from the one the cohort's level indices refer to")
+    spec = c.spec
+    n = len(c)
+    X = np.zeros((n, raw_width(spec)))
+    X[:, :N_NUM] = c.numeric
+    widths = [spec.width(name) for name in CATEGORICAL_FIELDS]
+    block_start = N_NUM + np.cumsum([0] + widths[:-1])
+    X[np.arange(n)[:, None], block_start + c.categorical] = 1.0
+    diag = N_NUM + spec.one_hot_width
+    history = X[:, diag : diag + N_CCS]
+    # each visit's own codes first; a code listed twice sets its entry to 1.0 twice
+    history[np.nonzero(c.ccs_present)[0], _CCS_COLUMN[c.ccs[c.ccs_present]]] = 1.0
+    c.accumulate(history)
+    counts = c.visit_seq + 1
+    X[:, -1] = counts
     return EncodedDataset(
         features=X,
-        labels=labels,
-        patient_ids=[r.patient_id for r in records],
+        labels=c.outcome.copy(),
+        patient_ids=c.patient_id.tolist(),
         visit_counts=counts,
-        raw_width=width,
+        raw_width=X.shape[1],
         column_names=feature_names(spec),
     )
 
@@ -174,7 +162,12 @@ def apply_stats(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
     if X.shape[1] != stats.width:
         raise WidthMismatch(f"matrix has {X.shape[1]} columns, stats expect {stats.width}")
     keep = stats.retained
-    return (X[:, keep] - stats.means[keep]) / np.sqrt(stats.variances[keep])
+    # one row-major copy, standardised in place: X[:, keep] would come out
+    # column-major, which makes every later row gather strided
+    Z = np.compress(keep, X, axis=1)
+    Z -= stats.means[keep]
+    Z /= np.sqrt(stats.variances[keep])
+    return Z
 
 
 # ---------------------------------------------------------------------------

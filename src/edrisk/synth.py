@@ -16,24 +16,30 @@ then written onto all of that patient's rows.  Categorical fields are
 drawn uniformly from their level sets and carry no planted signal; any
 model reliance on them is noise.
 
-``calibrate`` adjusts the base log-odds and the four groups' boosts by
-bisection against a simulated cohort until row-level prevalence targets
-are met.  ``default_config`` ships the frozen result of that calibration
-against the published targets.
+``generate`` returns a ``schema.Cohort``: its draws go straight into the
+columns (level indices, code slots filled from the first), with no
+per-visit record objects.  ``measure_prevalences`` reads those columns.
+
+``default_config`` ships the frozen result of calibrating the base
+log-odds and the four groups' boosts against the published row-level
+prevalence targets (``DEFAULT_TARGETS``); the calibration itself, a
+bisection against a simulated cohort, lives with its tests in
+``tests/calibration.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .schema import (
     CATEGORICAL_FIELDS,
     CCS_SLOT,
+    MAX_CODES_PER_VISIT,
     CategoricalSpec,
-    VisitRecord,
+    Cohort,
     default_spec,
 )
 
@@ -63,12 +69,6 @@ class SynthError(Exception):
 
 class InvalidConfig(SynthError):
     pass
-
-
-class Unachievable(SynthError):
-    def __init__(self, target_name, detail=""):
-        super().__init__(f"target {target_name!r} cannot be met{': ' + detail if detail else ''}")
-        self.target_name = target_name
 
 
 @dataclass
@@ -112,7 +112,7 @@ AUX_CODES: tuple[int, ...] = (83, 98, 106, 121, 135, 152, 170, 197, 205, 224, 23
 
 
 def default_config(n_patients: int = 50_000, seed: int = 0) -> SynthConfig:
-    """Config calibrated (via ``calibrate``) to the published row-level
+    """Config calibrated (by ``tests/calibration.py``) to the published row-level
     prevalences: overall 1.58%, and 14.7% / 7.44% / 16.2% / 5.72% for the
     662 / 651-657 / 659 / 660-661 prior-diagnosis subgroups."""
     carrier = {c: 0.022 for c in RISK_CODES}
@@ -156,8 +156,11 @@ def _draw_visit_counts(rng, cfg, n):
     return np.minimum(rng.geometric(cfg.visit_geom_p, size=n), cfg.max_visits)
 
 
-def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> list[VisitRecord]:
-    """Deterministic given cfg.seed; patients use independent sub-streams
+def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
+    """A cohort of ``cfg.n_patients`` patients, their visits in patient
+    order and each patient's in visit_seq order.
+
+    Deterministic given cfg.seed; patients use independent sub-streams
     seeded by (seed, patient index), so output does not depend on how the
     patient loop is scheduled, and the first n patients of a larger cohort
     equal an n-patient cohort of the same seed.
@@ -188,13 +191,17 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> list[Visi
     boosted = np.array(cfg.boosted_codes, dtype=np.int64)
     qvec = np.array([cfg.carrier_prob.get(int(c), 0.0) for c in boosted])
     background = np.array(sorted(set(ALL_CCS.tolist()) - set(boosted.tolist())), dtype=np.int64)
-    levels = [spec.levels[name] for name in CATEGORICAL_FIELDS]
-    n_fields = len(levels)
+    n_fields = len(CATEGORICAL_FIELDS)
+    widths = [spec.width(name) for name in CATEGORICAL_FIELDS]
     # per-value (low, high) bounds of steps 2 and 5, by visit count (and
     # number of background codes); built once per distinct key
     head_bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     tail_bounds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    records: list[VisitRecord] = []
+    patients: list[tuple[int, int, int, int, int]] = []  # k, age, zip, county, outcome
+    years: list[int] = []  # per visit
+    visit_draws: list[list[int]] = []  # per visit: 8 level indices, then the facility id
+    codes: list[int] = []  # every visit's codes, visit after visit
+    n_visit_codes: list[int] = []
     for i in range(cfg.n_patients):
         rng = np.random.default_rng([cfg.seed, i])
         k = int(_draw_visit_counts(rng, cfg, 1)[0])
@@ -205,8 +212,7 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> list[Visi
                 np.array([20, 96200, 59] + [2010] * k, dtype=np.int64),
             )
         head = rng.integers(*bounds)
-        age, zip_code, county = head[:3].tolist()
-        years = sorted(head[3:].tolist())
+        years += sorted(head[3:].tolist())
         carried = boosted[rng.random(len(boosted)) < qvec].tolist()
         n_bg = (1 + rng.binomial(6, cfg.extra_code_prob, size=k)).tolist()
         n_codes = sum(n_bg)
@@ -216,180 +222,59 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> list[Visi
             lo[n_codes + n_fields * k :] = 1
             hi = np.concatenate(
                 [np.full(n_codes, len(background))]
-                + [np.full(k, len(lv)) for lv in levels]
+                + [np.full(k, w) for w in widths]
                 + [np.full(k, 401)]
             )
             bounds = tail_bounds[(k, n_codes)] = (lo, hi)
         tail = rng.integers(*bounds)
         bg_codes = background[tail[:n_codes]].tolist()
-        cats = tail[n_codes : n_codes + n_fields * k].reshape(n_fields, k).T.tolist()
-        facilities = tail[n_codes + n_fields * k :].tolist()
+        visit_draws += tail[n_codes:].reshape(n_fields + 1, k).T.tolist()
 
         if carried:
             recur = (rng.random((k, len(carried))) < cfg.repeat_prob).tolist()
-        visit_codes = []
         appeared: set[int] = set()
         pos = 0
         for j in range(k):
-            codes = [c for c, r in zip(carried, recur[j]) if r] if carried else []
-            appeared.update(codes)
-            codes += bg_codes[pos : pos + n_bg[j]]
+            visit_codes = [c for c, r in zip(carried, recur[j]) if r] if carried else []
+            appeared.update(visit_codes)
+            visit_codes += bg_codes[pos : pos + n_bg[j]]
             pos += n_bg[j]
-            visit_codes.append(codes[:7])
+            codes += visit_codes[:MAX_CODES_PER_VISIT]
+            n_visit_codes.append(min(len(visit_codes), MAX_CODES_PER_VISIT))
         p_out = _sigmoid(outcome_logit(cfg, appeared, k))
         y = int(rng.random() < p_out)
+        patients.append((k, *head[:3].tolist(), y))
 
-        pid = f"P{i:07d}"
-        for j in range(k):
-            # positional: VisitRecord's categorical fields follow CATEGORICAL_FIELDS order
-            records.append(
-                VisitRecord(
-                    pid, j, years[j], age, zip_code, county, facilities[j], years[j],
-                    *[lv[x] for lv, x in zip(levels, cats[j])],
-                    visit_codes[j], y,
-                )
-            )
-    return records
-
-
-# ---------------------------------------------------------------------------
-# calibration
-
-
-@dataclass
-class _CohortStructure:
-    """Boosted-code skeleton of a simulated cohort: everything the logistic
-    outcome model needs, with no demographics or background codes."""
-
-    codes: np.ndarray  # boosted code numbers, shape (m,)
-    visit_counts: np.ndarray  # (n,)
-    appeared: np.ndarray  # (n, m) 0/1: code shows up somewhere in the record
-    first_seen: np.ndarray  # (n, m) first visit index with the code, -1 if never
-
-
-def _simulate_structure(cfg: SynthConfig, n_patients: int, seed: int) -> _CohortStructure:
-    rng = np.random.default_rng(seed)
-    boosted = np.array(cfg.boosted_codes, dtype=np.int64)
-    ks = _draw_visit_counts(rng, cfg, n_patients)
-    m = len(boosted)
-    first_seen = np.full((n_patients, m), -1, dtype=np.int64)
-    for jx, code in enumerate(boosted):
-        q = cfg.carrier_prob.get(int(code), 0.0)
-        carrier = rng.random(n_patients) < q
-        # first visit including the code is geometric(repeat_prob), 0-based
-        first = rng.geometric(cfg.repeat_prob, size=n_patients) - 1
-        hit = carrier & (first < ks)
-        first_seen[hit, jx] = first[hit]
-    return _CohortStructure(
-        codes=boosted,
-        visit_counts=ks,
-        appeared=(first_seen >= 0).astype(np.int8),
-        first_seen=first_seen,
+    per_patient = np.array(patients, dtype=np.int64).reshape(-1, 5)
+    ks = per_patient[:, 0]
+    age, zip_code, county, outcome = np.repeat(per_patient[:, 1:], ks, axis=0).T
+    draws = np.array(visit_draws, dtype=np.int64).reshape(-1, n_fields + 1)
+    year = np.array(years, dtype=np.int64)
+    present = np.arange(MAX_CODES_PER_VISIT) < np.array(n_visit_codes, dtype=np.int64)[:, None]
+    ccs = np.zeros(present.shape, dtype=np.int64)
+    ccs[present] = codes  # row-major: each visit's codes fill its first slots
+    pids = np.array([f"P{i:07d}" for i in range(cfg.n_patients)], dtype=object)
+    return Cohort(
+        spec=spec,
+        patient_id=np.repeat(pids, ks),
+        visit_seq=np.arange(len(year)) - np.repeat(np.cumsum(ks) - ks, ks),
+        numeric=np.column_stack([year, age, zip_code, county, draws[:, n_fields], year]),
+        categorical=draws[:, :n_fields],
+        ccs=ccs,
+        ccs_present=present,
+        outcome=outcome,
     )
 
 
-def _prevalences(
-    struct: _CohortStructure, base: float, boosts: dict[int, float], slope: float
-) -> dict[str, float]:
-    """Expected row-level prevalences (overall, and per risk group over rows
-    whose cumulative history includes a group code) under the logistic model."""
-    boost_vec = np.array([boosts.get(int(c), 0.0) for c in struct.codes])
-    ks = struct.visit_counts
-    p = _sigmoid(base + struct.appeared @ boost_vec + slope * (ks - 1))
-    out = {"overall": float((ks * p).sum() / ks.sum())}
-    code_col = {int(c): j for j, c in enumerate(struct.codes)}
-    for g, codes in RISK_GROUPS.items():
-        cols = [code_col[c] for c in codes if c in code_col]
-        if not cols:
-            out[g] = float("nan")
-            continue
-        fs = struct.first_seen[:, cols]
-        fs = np.where(fs < 0, np.iinfo(np.int64).max, fs).min(axis=1)
-        m = fs < np.iinfo(np.int64).max
-        rows = ks[m] - fs[m]
-        out[g] = float((rows * p[m]).sum() / rows.sum()) if m.any() else float("nan")
-    return out
-
-
-def _bisect(f, lo: float, hi: float, target: float, name: str, iters: int = 50) -> float:
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo <= target <= f_hi):
-        raise Unachievable(name, f"target {target:.4g} outside reachable [{f_lo:.4g}, {f_hi:.4g}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def calibrate(
-    targets: dict[str, float],
-    template: SynthConfig,
-    n_patients: int = 100_000,
-    seed: int = 12345,
-    tol: float = 0.002,
-    max_rounds: int = 50,
-) -> SynthConfig:
-    """Coordinate bisection: fit base_logit to the overall target, then each
-    risk group's shared boost to its subgroup target, iterating to a joint
-    fix.  The code-occurrence structure is simulated once and reused, so
-    every bisection probe is exact on the same Monte-Carlo sample.
-    Auxiliary boosts and the visit slope are taken from the template as-is."""
-    template.validate()
-    unknown = set(targets) - ({"overall"} | set(RISK_GROUPS))
-    if unknown:
-        raise InvalidConfig(f"unknown calibration targets {sorted(unknown)}")
-    struct = _simulate_structure(template, n_patients, seed)
-    base = template.base_logit
-    boosts = dict(template.boosts)
-    slope = template.visit_slope
-
-    errs: dict[str, float] = {}
-    for _ in range(max_rounds):
-        if "overall" in targets:
-            base = _bisect(
-                lambda b: _prevalences(struct, b, boosts, slope)["overall"],
-                -16.0, 4.0, targets["overall"], "overall",
-            )
-        for g, codes in RISK_GROUPS.items():
-            if g not in targets:
-                continue
-
-            def prev_g(b, _g=g, _codes=codes):
-                trial = dict(boosts)
-                trial.update({c: b for c in _codes})
-                return _prevalences(struct, base, trial, slope)[_g]
-
-            b_star = _bisect(prev_g, -12.0, 14.0, targets[g], g)
-            boosts.update({c: b_star for c in codes})
-        got = _prevalences(struct, base, boosts, slope)
-        errs = {name: abs(got[name] - t) for name, t in targets.items()}
-        if all(e <= tol for e in errs.values()):
-            return replace(template, base_logit=base, boosts=boosts)
-    worst = max(errs, key=errs.get)
-    raise Unachievable(worst, f"no joint fix after {max_rounds} rounds (residual {errs[worst]:.4g})")
-
-
-def measure_prevalences(records) -> dict[str, float]:
+def measure_prevalences(c: Cohort) -> dict[str, float]:
     """Row-level realized prevalences of a generated cohort, using the same
     cumulative-history subgroup rule the evaluator applies."""
-    by_patient: dict[str, list] = {}
-    for r in records:
-        by_patient.setdefault(r.patient_id, []).append(r)
-    total_rows = len(records)
-    pos_rows = sum(r.outcome for r in records)
-    out = {"overall": pos_rows / total_rows if total_rows else math.nan}
-    for g, codes in RISK_GROUPS.items():
-        rows = pos = 0
-        for visits in by_patient.values():
-            visits = sorted(visits, key=lambda r: r.visit_seq)
-            seen = False
-            for r in visits:
-                seen = seen or any(c in codes for c in r.ccs_codes)
-                if seen:
-                    rows += 1
-                    pos += r.outcome
-        out[g] = pos / rows if rows else math.nan
+    out = {"overall": float(c.outcome.mean()) if len(c) else math.nan}
+    hits = np.column_stack(
+        [(np.isin(c.ccs, codes) & c.ccs_present).any(axis=1) for codes in RISK_GROUPS.values()]
+    ).astype(np.int64)
+    # a row is in a group once its patient's history so far has a group code
+    c.accumulate(hits)
+    for g, rows in zip(RISK_GROUPS, (hits > 0).T):
+        out[g] = float(c.outcome[rows].mean()) if rows.any() else math.nan
     return out

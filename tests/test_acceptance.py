@@ -13,6 +13,7 @@ import numpy as np
 from edrisk import cli, encode, evaluation, mlp, resample, schema, synth
 from edrisk import train as training
 
+from rowwise import to_cohort, to_records
 from test_train import finite_difference
 
 SEP = {True: "PASS", False: "FAIL"}
@@ -114,8 +115,8 @@ def test_criterion_5_auc_vs_brute_force():
 def test_criterion_6_encoding_invariants():
     with criterion(6, "encoding invariants on 10,000 random patients; normalized cols are z-scored"):
         spec = schema.default_spec()
-        records = synth.generate(synth.default_config(n_patients=10_000, seed=606), spec)
-        ds = encode.encode_cohort(records, spec)
+        cohort = synth.generate(synth.default_config(n_patients=10_000, seed=606), spec)
+        ds = encode.encode_cohort(cohort, spec)
         n_num = len(schema.NUMERIC_FIELDS)
 
         # one-hot blocks: each sums to exactly one per row
@@ -127,6 +128,7 @@ def test_criterion_6_encoding_invariants():
             off += w
 
         # per-patient cumulative block is monotone and conserves code counts
+        records = to_records(cohort)
         diag = ds.diagnosis_block()
         order = {}
         for i, (pid, vc) in enumerate(zip(ds.patient_ids, ds.visit_counts)):
@@ -144,7 +146,7 @@ def test_criterion_6_encoding_invariants():
         # input order must not matter
         rng = np.random.default_rng(607)
         perm = rng.permutation(len(records))
-        ds_shuffled = encode.encode_cohort([records[i] for i in perm], spec)
+        ds_shuffled = encode.encode_cohort(to_cohort([records[i] for i in perm], spec), spec)
         np.testing.assert_array_equal(ds_shuffled.features, ds.features[perm])
 
         # normalization: retained columns exactly z-scored on the fitting rows
@@ -161,14 +163,14 @@ def test_criterion_7_end_to_end_cohort():
         t0 = time.perf_counter()
         seed = 7
         spec = schema.default_spec()
-        records = synth.generate(synth.default_config(n_patients=50_000, seed=seed), spec)
+        cohort = synth.generate(synth.default_config(n_patients=50_000, seed=seed), spec)
 
-        got = synth.measure_prevalences(records)
+        got = synth.measure_prevalences(cohort)
         assert abs(got["overall"] - 0.0158) <= 0.003, f"overall prevalence {got['overall']:.4f}"
         for g, target in (("662", 0.147), ("651/657", 0.0744), ("659", 0.162), ("660/661", 0.0572)):
             assert abs(got[g] - target) <= 0.02, f"group {g} prevalence {got[g]:.4f}"
 
-        ds = encode.encode_cohort(records, spec)
+        ds = encode.encode_cohort(cohort, spec)
         sp = resample.split(ds.n_rows, 0.8, seed + 1)
         stats = encode.fit_stats(ds.features[sp.first], ds.column_names)
         plan = resample.balance_bootstrap(ds.labels[sp.first], seed + 2)

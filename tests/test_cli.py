@@ -91,6 +91,42 @@ class TestErrors:
         assert code == 1
         assert "pipeline error" in capsys.readouterr().err
 
+    def test_non_utf8_cohort_exit_1(self, tmp_path, capsys):
+        assert run("synth", "--out-dir", tmp_path, "--patients", 20) == 0
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_bytes(cohort.read_bytes().replace(b"P0000003", b"P\xff000003"))
+        code = run("encode", "--out-dir", tmp_path, "--cohort", cohort, "--spec", tmp_path / "spec.txt")
+        assert code == 1
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_oversized_cohort_field_exit_1(self, tmp_path, capsys):
+        assert run("synth", "--out-dir", tmp_path, "--patients", 20) == 0
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_bytes(cohort.read_bytes().replace(b"P0000003", b"P" * 200_000))
+        code = run("encode", "--out-dir", tmp_path, "--cohort", cohort, "--spec", tmp_path / "spec.txt")
+        assert code == 1
+        assert "MissingField" in capsys.readouterr().err
+
+    def test_non_utf8_spec_exit_2(self, tmp_path, capsys):
+        assert run("synth", "--out-dir", tmp_path, "--patients", 20) == 0
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(spec.read_bytes().replace(b"sex_1", b"sex_\xff"))
+        code = run("encode", "--out-dir", tmp_path, "--cohort", tmp_path / "cohort.csv", "--spec", spec)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        code = run("--config", tmp_path / "absent.cfg", "synth", "--out-dir", tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"patients=\xff\n")
+        code = run("--config", cfg, "synth", "--out-dir", tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_arch_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("train", "--out-dir", tmp_path, "--arch", "nn3")

@@ -17,8 +17,10 @@ from edrisk.encode import (
     save_dataset,
     save_stats,
 )
-from edrisk.schema import CATEGORICAL_FIELDS, CCS_SLOT, N_CCS, NUMERIC_FIELDS, default_spec
+from edrisk.schema import CATEGORICAL_FIELDS, CCS_SLOT, N_CCS, NUMERIC_FIELDS, CategoricalSpec, default_spec
+from edrisk.synth import default_config, generate
 
+from rowwise import encode_records, to_cohort, to_records
 from test_schema import make_record
 
 SPEC = default_spec()
@@ -45,7 +47,7 @@ def encode_visit(record, history, prior_visit_count, spec):
     for fname in CATEGORICAL_FIELDS:
         w = spec.width(fname)
         row[off : off + w] = 0.0
-        row[off + spec.level_index(fname, getattr(record, fname))] = 1.0
+        row[off + spec.levels[fname].index(getattr(record, fname))] = 1.0
         off += w
     row[off : off + N_CCS] = cumulative
     row[off + N_CCS] = prior_visit_count + 1
@@ -130,7 +132,7 @@ class TestEncodeCohort:
     def test_rows_match_sequential_oracle(self):
         rng = np.random.default_rng(11)
         records = random_records(rng, 40)
-        ds = encode_cohort(records, SPEC)
+        ds = encode_cohort(to_cohort(records), SPEC)
         # oracle: thread encode_visit per patient in visit_seq order,
         # then look rows up by (patient, seq)
         by_patient = {}
@@ -150,8 +152,8 @@ class TestEncodeCohort:
         rng = np.random.default_rng(12)
         base = random_records(rng, 30)
         shuffled = [base[i] for i in rng.permutation(len(base))]
-        ds_a = encode_cohort(base, SPEC)
-        ds_b = encode_cohort(shuffled, SPEC)
+        ds_a = encode_cohort(to_cohort(base), SPEC)
+        ds_b = encode_cohort(to_cohort(shuffled), SPEC)
         key_a = {(p, int(v)): i for i, (p, v) in enumerate(zip(ds_a.patient_ids, ds_a.visit_counts))}
         for i, (p, v) in enumerate(zip(ds_b.patient_ids, ds_b.visit_counts)):
             j = key_a[(p, int(v))]
@@ -161,7 +163,7 @@ class TestEncodeCohort:
     def test_cumulative_monotone_and_conserved(self):
         rng = np.random.default_rng(13)
         records = random_records(rng, 25)
-        ds = encode_cohort(records, SPEC)
+        ds = encode_cohort(to_cohort(records), SPEC)
         diag = ds.diagnosis_block()
         by_patient = {}
         for i, rec in enumerate(records):
@@ -178,12 +180,32 @@ class TestEncodeCohort:
 
     def test_visit_counter_column(self):
         records = [make_record("A", j) for j in range(4)]
-        ds = encode_cohort(records, SPEC)
+        ds = encode_cohort(to_cohort(records), SPEC)
         np.testing.assert_array_equal(ds.features[:, -1], [1, 2, 3, 4])
         np.testing.assert_array_equal(ds.visit_counts, [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("interleave", [False, True], ids=["sorted", "interleaved"])
+    def test_matches_per_record_encoder(self, interleave):
+        records = random_records(np.random.default_rng(14), 60, interleave=interleave)
+        ds, oracle = encode_cohort(to_cohort(records), SPEC), encode_records(records, SPEC)
+        np.testing.assert_array_equal(ds.features, oracle.features)
+        np.testing.assert_array_equal(ds.labels, oracle.labels)
+        np.testing.assert_array_equal(ds.visit_counts, oracle.visit_counts)
+        assert ds.patient_ids == oracle.patient_ids and ds.column_names == oracle.column_names
+
+    def test_generated_cohort_matches_per_record_encoder(self):
+        cohort = generate(default_config(n_patients=1_500, seed=15))
+        oracle = encode_records(to_records(cohort), SPEC)
+        np.testing.assert_array_equal(encode_cohort(cohort, SPEC).features, oracle.features)
+
+    def test_other_spec_rejected(self):
+        levels = {k: list(v) for k, v in SPEC.levels.items()}
+        levels["sex"] = levels["sex"][::-1]
+        with pytest.raises(EncodeError, match="spec"):
+            encode_cohort(to_cohort([make_record()]), CategoricalSpec(levels))
+
     def test_empty_cohort(self):
-        ds = encode_cohort([], SPEC)
+        ds = encode_cohort(to_cohort([]), SPEC)
         assert ds.n_rows == 0
         assert ds.features.shape == (0, WIDTH)
 
@@ -288,7 +310,7 @@ class TestStats:
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
-        ds = encode_cohort(random_records(rng, 15), SPEC)
+        ds = encode_cohort(to_cohort(random_records(rng, 15)), SPEC)
         paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
         save_dataset(ds, *paths)
         loaded = load_dataset(*paths)
@@ -300,7 +322,7 @@ class TestDatasetIO:
 
     def test_truncated_matrix_rejected(self, tmp_path):
         rng = np.random.default_rng(32)
-        ds = encode_cohort(random_records(rng, 5), SPEC)
+        ds = encode_cohort(to_cohort(random_records(rng, 5)), SPEC)
         paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
         save_dataset(ds, *paths)
         data = paths[1].read_bytes()
@@ -333,7 +355,7 @@ class TestDatasetIO:
     def test_malformed_header_or_meta_rejected(self, tmp_path, which, mutate, message):
         rng = np.random.default_rng(34)
         paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
-        save_dataset(encode_cohort(random_records(rng, 5), SPEC), *paths)
+        save_dataset(encode_cohort(to_cohort(random_records(rng, 5)), SPEC), *paths)
         _rewrite(paths[which], mutate)
         with pytest.raises(EncodeError, match=message):
             load_dataset(*paths)
@@ -342,14 +364,14 @@ class TestDatasetIO:
     def test_non_utf8_rejected(self, tmp_path, which):
         rng = np.random.default_rng(35)
         paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
-        save_dataset(encode_cohort(random_records(rng, 5), SPEC), *paths)
+        save_dataset(encode_cohort(to_cohort(random_records(rng, 5)), SPEC), *paths)
         paths[which].write_bytes(paths[which].read_bytes() + b"\xff\xfe\n")
         with pytest.raises(EncodeError, match="UTF-8"):
             load_dataset(*paths)
 
     def test_subset(self):
         rng = np.random.default_rng(33)
-        ds = encode_cohort(random_records(rng, 10), SPEC)
+        ds = encode_cohort(to_cohort(random_records(rng, 10)), SPEC)
         idx = np.array([0, 2, 4])
         sub = ds.subset(idx)
         np.testing.assert_array_equal(sub.features, ds.features[idx])

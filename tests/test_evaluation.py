@@ -19,6 +19,7 @@ from edrisk.encode import encode_cohort, fit_stats, raw_width
 from edrisk.mlp import Architecture, init
 from edrisk.schema import default_spec
 
+from rowwise import to_cohort
 from test_encode import random_records
 
 SPEC = default_spec()
@@ -134,7 +135,7 @@ class TestRoc:
 class TestFilters:
     def _dataset(self, seed=4, n=40):
         rng = np.random.default_rng(seed)
-        return encode_cohort(random_records(rng, n), SPEC)
+        return encode_cohort(to_cohort(random_records(rng, n)), SPEC)
 
     def test_all_rows(self):
         ds = self._dataset()
@@ -165,7 +166,7 @@ class TestFilters:
             make_record("A", 1, (5,)),  # 662 only in history
             make_record("B", 0, (5,)),
         ]
-        ds = encode_cohort(records, SPEC)
+        ds = encode_cohort(to_cohort(records), SPEC)
         m = SubgroupFilter.ccs_any({662}).mask(ds)
         np.testing.assert_array_equal(m, [True, True, False])
 
@@ -177,7 +178,7 @@ class TestFilters:
             make_record("B", 0, (657,)),
             make_record("C", 0, (5,)),
         ]
-        ds = encode_cohort(records, SPEC)
+        ds = encode_cohort(to_cohort(records), SPEC)
         m = SubgroupFilter.ccs_any({651, 657}).mask(ds)
         np.testing.assert_array_equal(m, [True, True, False])
 
@@ -192,7 +193,7 @@ class TestFilters:
 class TestEvaluate:
     def _setup(self, seed=5):
         rng = np.random.default_rng(seed)
-        ds = encode_cohort(random_records(rng, 60), SPEC)
+        ds = encode_cohort(to_cohort(random_records(rng, 60)), SPEC)
         stats = fit_stats(ds.features, ds.column_names)
         model = init(Architecture.named("nn2"), p=stats.p, seed=6)
         return model, ds, stats

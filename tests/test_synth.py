@@ -4,24 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edrisk.schema import CATEGORICAL_FIELDS, VisitRecord, default_spec, validate_cohort
+from edrisk.schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS, check_cohort, default_spec, validate_cohort
 from edrisk.synth import (
     ALL_CCS,
     DEFAULT_TARGETS,
     RISK_GROUPS,
     InvalidConfig,
     SynthConfig,
-    Unachievable,
     _draw_visit_counts,
-    _prevalences,
     _sigmoid,
-    _simulate_structure,
-    calibrate,
     default_config,
     generate,
     measure_prevalences,
     outcome_logit,
 )
+
+from calibration import Unachievable, _prevalences, _simulate_structure, calibrate
+from rowwise import VisitRecord, to_cohort, to_records
 
 SPEC = default_spec()
 
@@ -32,7 +31,8 @@ def logit(p):
 
 def _reference_generate(cfg, spec=None):
     """The original one-draw-per-field patient loop: the oracle for the
-    per-patient stream contract that ``generate`` documents."""
+    per-patient stream contract that ``generate`` documents.  Returns one
+    ``VisitRecord`` per visit."""
     cfg.validate()
     if spec is None:
         spec = default_spec()
@@ -123,34 +123,34 @@ class TestGenerate:
         assert a != b
 
     def test_passes_cohort_invariants(self):
-        records = generate(default_config(n_patients=300, seed=3))
-        summary = validate_cohort(records)
+        cohort = generate(default_config(n_patients=300, seed=3))
+        summary = validate_cohort(cohort)
         assert summary.patients == 300
-        assert summary.visits == len(records)
-        for r in records[:50]:
+        assert summary.visits == len(cohort)
+        for r in to_records(cohort):
             r.validate(SPEC)
 
     def test_outcome_constant_within_patient(self):
-        records = generate(default_config(n_patients=300, seed=4))
+        records = to_records(generate(default_config(n_patients=300, seed=4)))
         by_patient = {}
         for r in records:
             by_patient.setdefault(r.patient_id, set()).add(r.outcome)
         assert all(len(s) == 1 for s in by_patient.values())
 
     def test_age_and_zip_constant_within_patient(self):
-        records = generate(default_config(n_patients=200, seed=5))
+        records = to_records(generate(default_config(n_patients=200, seed=5)))
         by_patient = {}
         for r in records:
             by_patient.setdefault(r.patient_id, set()).add((r.age, r.zip_code))
         assert all(len(s) == 1 for s in by_patient.values())
 
     def test_zero_patients(self):
-        assert generate(default_config(n_patients=0)) == []
+        assert len(generate(default_config(n_patients=0))) == 0
 
     def test_visit_counts_truncated(self):
         cfg = default_config(n_patients=500, seed=6)
         cfg.max_visits = 3
-        records = generate(cfg)
+        records = to_records(generate(cfg))
         counts = {}
         for r in records:
             counts[r.patient_id] = max(counts.get(r.patient_id, 0), r.visit_seq + 1)
@@ -163,7 +163,7 @@ class TestGenerate:
             n_patients=5_000, seed=7, carrier_prob={}, boosts={},
             base_logit=logit(target), visit_slope=0.0,
         )
-        records = generate(cfg)
+        records = to_records(generate(cfg))
         by_patient = {r.patient_id: r.outcome for r in records}
         rate = sum(by_patient.values()) / len(by_patient)
         sd = math.sqrt(target * (1 - target) / len(by_patient))
@@ -177,7 +177,9 @@ class TestStreamContract:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_default_config_matches_reference(self, seed):
         cfg = default_config(n_patients=2_000, seed=seed)
-        assert generate(cfg) == _reference_generate(cfg)
+        cohort = generate(cfg)
+        assert cohort == to_cohort(_reference_generate(cfg))
+        check_cohort(cohort)
 
     @pytest.mark.parametrize(
         "change",
@@ -194,16 +196,21 @@ class TestStreamContract:
     )
     def test_config_variants_match_reference(self, change):
         cfg = replace(default_config(n_patients=800, seed=19), **change)
-        assert generate(cfg) == _reference_generate(cfg)
+        assert generate(cfg) == to_cohort(_reference_generate(cfg))
 
     def test_native_python_values(self):
-        r = generate(default_config(n_patients=20, seed=20))[0]
-        values = [r.year, r.age, r.zip_code, r.patient_county, r.facility_id, r.service_year, *r.ccs_codes]
-        assert all(type(v) is int for v in values)
+        c = generate(default_config(n_patients=20, seed=20))
+        assert c.numeric.shape == (len(c), len(NUMERIC_FIELDS))
+        assert c.categorical.shape == (len(c), len(CATEGORICAL_FIELDS))
+        assert c.ccs.shape == c.ccs_present.shape == (len(c), 7)
+        for column in (c.visit_seq, c.numeric, c.categorical, c.ccs, c.outcome):
+            assert column.dtype == np.int64
+        assert c.ccs_present.dtype == bool
+        assert all(type(pid) is str for pid in c.patient_id)
 
     def test_prefix_stable(self):
-        small = generate(default_config(n_patients=100, seed=21))
-        large = generate(default_config(n_patients=300, seed=21))
+        small = to_records(generate(default_config(n_patients=100, seed=21)))
+        large = to_records(generate(default_config(n_patients=300, seed=21)))
         n_small = len(small)
         assert large[:n_small] == small
         assert large[n_small].patient_id == "P0000100"
@@ -229,7 +236,7 @@ class TestStructureModel:
         # realized subgroup sizes in a generated cohort should sit near the
         # structural simulation's expectation
         cfg = default_config(n_patients=20_000, seed=10)
-        records = generate(cfg)
+        records = to_records(generate(cfg))
         struct = _simulate_structure(cfg, 200_000, seed=11)
         frac_662_expected = float((struct.first_seen[:, list(struct.codes).index(662)] >= 0).mean())
         carriers = {r.patient_id for r in records if 662 in r.ccs_codes}
@@ -271,11 +278,9 @@ class TestCalibration:
 
 class TestMeasurePrevalences:
     def test_overall_is_row_mean(self):
-        records = generate(default_config(n_patients=2_000, seed=16))
-        got = measure_prevalences(records)
-        assert got["overall"] == pytest.approx(
-            sum(r.outcome for r in records) / len(records)
-        )
+        cohort = generate(default_config(n_patients=2_000, seed=16))
+        got = measure_prevalences(cohort)
+        assert got["overall"] == pytest.approx(sum(r.outcome for r in to_records(cohort)) / len(cohort))
 
     def test_subgroup_rule_counts_history_rows(self):
         from test_schema import make_record
@@ -286,15 +291,14 @@ class TestMeasurePrevalences:
             make_record("B", 0, (5,), outcome=0),
             make_record("B", 1, (662,), outcome=0),
         ]
-        got = measure_prevalences(records)
+        got = measure_prevalences(to_cohort(records))
         # rows in the 662 subgroup: both of A's, and only B's second visit
         assert got["662"] == pytest.approx(2 / 3)
 
     def test_default_config_prevalences_near_targets(self):
         # light-weight version of the full-scale check: 12k patients,
         # generous bands around the calibration targets
-        records = generate(default_config(n_patients=12_000, seed=17))
-        got = measure_prevalences(records)
+        got = measure_prevalences(generate(default_config(n_patients=12_000, seed=17)))
         assert abs(got["overall"] - DEFAULT_TARGETS["overall"]) < 0.006
         for g in RISK_GROUPS:
             assert abs(got[g] - DEFAULT_TARGETS[g]) < 0.04
