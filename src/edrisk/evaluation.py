@@ -188,6 +188,8 @@ def evaluate(
 ) -> EvalReport:
     """Score every row once, then report metrics per filter.  Degenerate
     filters (empty, or single-class) get absent metrics, not a failure."""
+    if not 0.0 <= threshold <= 1.0:
+        raise EvalError(f"threshold {threshold} outside [0, 1]")
     X = apply_stats(test_set.features, stats)
     probs = forward_batch(model, X)
     report = EvalReport(model_name=model_name, threshold=threshold)

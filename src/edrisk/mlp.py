@@ -48,16 +48,21 @@ class ShapeCorruption(MLPError):
     pass
 
 
-def selu(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA):
-    """lam * (z for z > 0, alpha * (e^z - 1) for z <= 0), element-wise."""
+# Branch-free, from m = min(z, 0): for z > 0, alpha * expm1(0) is +0 and z + 0 == z, and for
+# alpha >= 0.5, 1 - alpha is exact and alpha + (1 - alpha) == 1.  So both equal the np.where(z > 0, ...)
+# forms bit for bit, except that with alpha <= 0.5 a subnormal z < 0 gives +0 where those give -0.
+def selu(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA, m=None):
+    """lam * (z for z > 0, alpha * (e^z - 1) for z <= 0), element-wise; m is min(z, 0) if known."""
     z = np.asarray(z, dtype=np.float64)
-    return lam * np.where(z > 0, z, alpha * np.expm1(np.minimum(z, 0.0)))
+    m = np.minimum(z, 0.0) if m is None else m
+    return lam * (np.maximum(z, 0.0) + alpha * np.expm1(m))
 
 
-def selu_prime(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA):
-    """Derivative; at z == 0 we take the z <= 0 branch value lam * alpha."""
+def selu_prime(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA, m=None):
+    """Derivative; at z == 0 we take the z <= 0 branch value lam * alpha.  m as for selu."""
     z = np.asarray(z, dtype=np.float64)
-    return lam * np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
+    m = np.minimum(z, 0.0) if m is None else m
+    return lam * (alpha * np.exp(m) + (z > 0) * (1.0 - alpha))
 
 
 def sigmoid(z):
@@ -154,15 +159,21 @@ def init(arch: Architecture, p: int, seed: int) -> MLPModel:
     return model
 
 
-def hidden_activations(model: MLPModel, X: np.ndarray) -> list[np.ndarray]:
+def hidden_activations(model: MLPModel, X: np.ndarray, slopes: list | None = None) -> list[np.ndarray]:
     """All hidden-layer outputs [h^(1), ..., h^(d)] for a batch, under the
-    model's own SELU constants."""
+    model's own SELU constants.  Given a list ``slopes``, also appends each
+    layer's SELU slope selu'(z^(i)) to it, as backpropagation needs."""
     h = np.asarray(X, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.n_inputs:
         raise ShapeMismatch(f"input has shape {h.shape}, model expects (*, {model.n_inputs})")
     hs = []
     for W, b in zip(model.weights, model.biases):
-        h = selu(h @ W + b, model.selu_lambda, model.selu_alpha)
+        z = h @ W
+        z += b
+        m = np.minimum(z, 0.0)
+        if slopes is not None:
+            slopes.append(selu_prime(z, model.selu_lambda, model.selu_alpha, m))
+        h = selu(z, model.selu_lambda, model.selu_alpha, m)
         hs.append(h)
     return hs
 

@@ -211,6 +211,24 @@ class TestStageFiles:
         assert "EncodeError" in err and "'zzz' vs 'age'" in err
 
 
+class TestArgumentValues:
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_exit_1(self, trained_copy, capsys, steps):
+        model = trained_copy / "model_nn2.mlp"
+        before = model.read_bytes()
+        assert run("train", "--out-dir", trained_copy, "--arch", "nn2", "--steps", steps) == 1
+        err = capsys.readouterr().err
+        assert "TrainError" in err and "total_steps" in err
+        assert model.read_bytes() == before
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5", "inf"])
+    def test_threshold_outside_unit_interval_exit_1(self, trained_copy, capsys, threshold):
+        assert run("eval", "--out-dir", trained_copy, "--arch", "nn2", "--threshold", threshold) == 1
+        err = capsys.readouterr().err
+        assert "EvalError" in err and "threshold" in err
+        assert not (trained_copy / "report_nn2.txt").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

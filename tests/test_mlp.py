@@ -48,6 +48,28 @@ def oracle_forward(model, x):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def two_branch_selu(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA):
+    """SELU as an ``np.where`` over the sign of z, the oracle that the
+    branch-free ``selu`` must equal bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    return lam * np.where(z > 0, z, alpha * np.expm1(np.minimum(z, 0.0)))
+
+
+def two_branch_selu_prime(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA):
+    """The slope as an ``np.where``, the oracle for ``selu_prime``."""
+    z = np.asarray(z, dtype=np.float64)
+    return lam * np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
+
+
+# signed zeros, infinities, nan, subnormals, expm1/exp underflow and overflow
+SELU_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300, -745.0, -800.0, 709.0, 1e308, -1e308]
+SELU_CONSTANTS = pytest.mark.parametrize("lam, alpha", [(SELU_LAMBDA, SELU_ALPHA), (1.1, 1.5)])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
 class TestSelu:
     def test_zero(self):
         assert selu(0.0) == 0.0
@@ -86,6 +108,30 @@ class TestSelu:
     def test_continuous_at_zero(self):
         eps = 1e-12
         assert abs(selu(eps) - selu(-eps)) < 1e-10
+
+    @SELU_CONSTANTS
+    def test_bit_identical_to_two_branch_form(self, lam, alpha):
+        z = np.concatenate([SELU_EDGES, 5.0 * np.random.default_rng(2).normal(size=10**6)])
+        np.testing.assert_array_equal(bits(selu(z, lam, alpha)), bits(two_branch_selu(z, lam, alpha)))
+        np.testing.assert_array_equal(bits(selu_prime(z, lam, alpha)), bits(two_branch_selu_prime(z, lam, alpha)))
+
+    @SELU_CONSTANTS
+    def test_scalar_inputs_bit_identical_to_two_branch_form(self, lam, alpha):
+        for v in SELU_EDGES + [1.5, -1.5]:
+            for z in (v, np.array(v)):  # a Python float and a 0-d array
+                for fn, oracle in ((selu, two_branch_selu), (selu_prime, two_branch_selu_prime)):
+                    out = fn(z, lam, alpha)
+                    assert np.ndim(out) == 0
+                    assert bits(out) == bits(oracle(z, lam, alpha)), (fn.__name__, v)
+
+    def test_known_signed_zero_corner_at_small_alpha(self):
+        # Bit identity holds for the constants above, not for every alpha:
+        # when alpha * expm1(z) underflows to -0 for a subnormal z < 0 (here
+        # alpha = 0.25), the two-branch form gives -0 and the branch-free
+        # max(z, 0) + -0 gives +0.  The values still compare equal.
+        z = -5e-324
+        assert selu(z, 1.0, 0.25) == two_branch_selu(z, 1.0, 0.25) == 0.0
+        assert np.signbit(two_branch_selu(z, 1.0, 0.25)) and not np.signbit(selu(z, 1.0, 0.25))
 
 
 class TestSigmoid:

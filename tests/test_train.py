@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edrisk.mlp import Architecture, MLPModel, forward_batch, init
+from edrisk.mlp import Architecture, MLPModel, forward_batch, init, sigmoid
 from edrisk.train import (
     DivergenceDetected,
     EmptySet,
@@ -10,12 +10,14 @@ from edrisk.train import (
     TrainError,
     TrainLog,
     _check_batch,
+    _mean_nll,
     _validation_metrics,
     grad,
     loss,
     step_size,
     train,
 )
+from test_mlp import two_branch_selu, two_branch_selu_prime
 
 
 def finite_difference(model, X, y, h=1e-6):
@@ -111,6 +113,35 @@ def _reference_train(model, train_set, val_set, cfg):
     return best, log, stop_reason, batch_losses
 
 
+def _reference_grad(model, X, y):
+    """Backpropagation as it was with its own forward loop, keeping the
+    pre-activations and taking the two-branch SELU and slope of each."""
+    X, y = _check_batch(model, X, y)
+    n = X.shape[0]
+    lam, alpha = model.selu_lambda, model.selu_alpha
+    zs, hs = [], [X]
+    h = X
+    for W, b in zip(model.weights, model.biases):
+        z = h @ W + b
+        zs.append(z)
+        h = two_branch_selu(z, lam, alpha)
+        hs.append(h)
+    P = sigmoid(h @ model.out_w + model.out_b)
+
+    g = MLPModel(model.layer_sizes, np.empty_like(model.theta))
+    delta_u = (P - y) / n
+    g.out_w[:] = hs[-1].T @ delta_u
+    g.out_b = delta_u.sum()
+    delta_h = np.outer(delta_u, model.out_w)
+    for i in range(model.depth - 1, -1, -1):
+        delta_z = delta_h * two_branch_selu_prime(zs[i], lam, alpha)
+        g.weights[i][:] = hs[i].T @ delta_z
+        g.biases[i][:] = delta_z.sum(axis=0)
+        if i > 0:
+            delta_h = delta_z @ model.weights[i].T
+    return g.theta, _mean_nll(P, y)
+
+
 def _val_columns(log):
     return [(e.step, e.val_accuracy, e.val_sensitivity, e.val_specificity, e.step_size) for e in log.entries]
 
@@ -171,6 +202,24 @@ class TestGrad:
         y = (rng.random(33) < 0.5).astype(np.float64)
         assert grad(m, X, y)[1] == loss(m, X, y)
 
+    @pytest.mark.parametrize("hidden", [[50, 50], [50] * 4, [50] + [20] * 7, [3, 5]], ids=["nn2", "nn4", "nn8", "3-5"])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    @pytest.mark.parametrize("constants", [None, (1.1, 1.5)], ids=["default", "custom"])
+    def test_equals_two_pass_reference(self, hidden, batch, constants):
+        rng = np.random.default_rng(batch)
+        m = init(Architecture.custom(hidden), p=12, seed=len(hidden))
+        for b in m.biases:
+            b[:] = rng.normal(size=b.shape)
+        m.out_b = 0.2
+        if constants:
+            m.selu_lambda, m.selu_alpha = constants
+        X = rng.normal(scale=2.0, size=(batch, 12))
+        y = (rng.random(batch) < 0.5).astype(np.float64)
+        g, batch_loss = grad(m, X, y)
+        ref_g, ref_loss = _reference_grad(m, X, y)
+        assert np.array_equal(g, ref_g)
+        assert batch_loss == ref_loss
+
     def test_symmetric_batch_zeroes_output_bias_gradient(self):
         m = init(Architecture.named("nn2"), p=3, seed=0)
         for W in m.weights:
@@ -221,6 +270,8 @@ class TestStepSize:
             TrainConfig(eta0=0.001, eta_floor=0.01)
         with pytest.raises(TrainError):
             TrainConfig(batch_size=0)
+        with pytest.raises(TrainError):
+            TrainConfig(total_steps=0)
         with pytest.raises(TrainError):
             TrainConfig(optimizer="adam")
 
