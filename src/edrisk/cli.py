@@ -108,7 +108,7 @@ def cmd_split(args) -> int:
     resample.save_indices(sp.first, sp.seed, out / "pretrain.idx")
     resample.save_indices(sp.second, sp.seed, out / "test.idx")
     # normalization stats are learned from the pretraining rows only
-    stats = encode.fit_stats(ds.features[sp.first], ds.column_names)
+    stats = encode.fit_stats(ds.features, ds.column_names, sp.first)
     encode.save_stats(stats, out / "stats.tsv")
     plan = resample.balance_bootstrap(ds.labels[sp.first], args.seed + 2)
     resample.save_indices(plan.indices, plan.seed, out / "bootstrap.idx")
@@ -167,8 +167,8 @@ def cmd_train(args) -> int:
     if arch not in ARCH_INDEX:
         raise ConfigError(f"unknown --arch {args.arch!r}")
     ds, stats, pre, plan, tr, val = _load_train_inputs(out)
-    # each set is gathered once from the raw matrix; standardising is
-    # element-wise, so this equals standardising first and gathering after
+    # each set is standardised straight from the raw matrix; standardising
+    # is element-wise, so this equals standardising first and gathering after
     rows = pre[plan]
     train_rows, val_rows = rows[tr], rows[val]
     cfg = training.TrainConfig(
@@ -182,8 +182,8 @@ def cmd_train(args) -> int:
     model = mlp.init(mlp.Architecture.named(arch), stats.p, seed=args.seed + 10 + ARCH_INDEX[arch])
     model, log, reason = training.train(
         model,
-        (encode.apply_stats(ds.features[train_rows], stats), ds.labels[train_rows]),
-        (encode.apply_stats(ds.features[val_rows], stats), ds.labels[val_rows]),
+        (encode.apply_stats(ds.features, stats, train_rows), ds.labels[train_rows]),
+        (encode.apply_stats(ds.features, stats, val_rows), ds.labels[val_rows]),
         cfg,
     )
     mlp.save_model(model, out / f"model_{arch}.mlp")
@@ -202,6 +202,8 @@ def _parse_filters(args) -> list[evaluation.SubgroupFilter]:
         return evaluation.standard_filters()
     filters = [evaluation.SubgroupFilter.all_rows()]
     for n in args.min_visits or []:
+        if n < 1:
+            raise ConfigError(f"--min-visits {n}: a visit count must be at least 1")
         filters.append(evaluation.SubgroupFilter.min_visits(n))
     for spec in args.ccs_filter or []:
         try:

@@ -14,7 +14,12 @@ sums are exact.
 
 Normalization stats (per-column mean, population variance, zero-variance
 drop mask) are fit on training rows only and reapplied verbatim to test
-rows.
+rows.  ``fit_stats`` and ``apply_stats`` take the raw matrix and an
+optional ``rows`` index, and walk those rows ``BLOCK_ROWS`` at a time, so
+no temporary is as large as the rows they cover.  Column sums run row by
+row in order, as numpy reduces a C-contiguous matrix over axis 0, so the
+stats are bit-identical to ``X[rows].mean(axis=0)`` and ``.var(axis=0)``.
+A non-finite stat or standardised value raises ``EncodeError``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ N_NUM = len(NUMERIC_FIELDS)
 # CCS code -> its column in the diagnosis block
 _CCS_COLUMN = np.zeros(max(CCS_SLOT) + 1, dtype=np.int64)
 _CCS_COLUMN[list(CCS_SLOT)] = list(CCS_SLOT.values())
+# rows per block of the stats passes; a 435-column block is 0.85 MiB
+BLOCK_ROWS = 256
 
 
 class EncodeError(Exception):
@@ -144,29 +151,70 @@ class FeatureStats:
         return len(self.means)
 
 
-def fit_stats(train_features: np.ndarray, column_names: list[str] | None = None) -> FeatureStats:
+def _row_blocks(X: np.ndarray, rows):
+    """(start, block) over ``X``, or over ``X[rows]`` gathered a block at a time."""
+    n = len(X) if rows is None else len(rows)
+    for i in range(0, n, BLOCK_ROWS):
+        yield i, X[i : i + BLOCK_ROWS] if rows is None else X[rows[i : i + BLOCK_ROWS]]
+
+
+def _column_sums(X: np.ndarray, rows, shift=None) -> np.ndarray:
+    """Column sums of the rows (or of ``(row - shift)**2``), each block reduced
+    in one buffer below the running total: row by row in order, the additions
+    and so the bits of ``np.add.reduce(X, axis=0)`` on a C-contiguous X."""
+    buf, total = np.empty((BLOCK_ROWS + 1, X.shape[1])), np.empty(X.shape[1])
+    for i, block in _row_blocks(X, rows):
+        d = buf[1 : len(block) + 1]
+        if shift is None:
+            d[...] = block
+        else:
+            np.square(np.subtract(block, shift, out=d), out=d)
+        buf[0] = total  # skipped by the first block, which starts from its own first row
+        np.add.reduce(buf[0 if i else 1 : len(block) + 1], axis=0, out=total)
+    return total
+
+
+def fit_stats(
+    train_features: np.ndarray, column_names: list[str] | None = None, rows: np.ndarray | None = None
+) -> FeatureStats:
+    """Column means and population variances over ``rows`` (all when None), bit
+    for bit ``X[rows].mean(axis=0)`` and ``X[rows].var(axis=0)``."""
     X = np.asarray(train_features, dtype=np.float64)
-    if X.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 rows to fit stats, got {X.shape[0]}")
-    means = X.mean(axis=0)
-    variances = X.var(axis=0)  # ddof=0
-    retained = variances > 0.0
+    n = len(X) if rows is None else len(rows)
+    if n < 2:
+        raise TooFewRows(f"need at least 2 rows to fit stats, got {n}")
     if column_names is None:
         column_names = [f"col_{j}" for j in range(X.shape[1])]
-    return FeatureStats(means=means, variances=variances, retained=retained, column_names=column_names)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        means = _column_sums(X, rows) / n
+        variances = _column_sums(X, rows, means) / n
+    bad = ~(np.isfinite(means) & np.isfinite(variances))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise EncodeError(f"column {column_names[j]!r} has mean {float(means[j])!r} and variance "
+                          f"{float(variances[j])!r}: a value is non-finite or too large to square")
+    return FeatureStats(means=means, variances=variances, retained=variances > 0.0, column_names=column_names)
 
 
-def apply_stats(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """Standardize with training-set stats and drop zero-variance columns."""
+def apply_stats(features: np.ndarray, stats: FeatureStats, rows: np.ndarray | None = None) -> np.ndarray:
+    """Standardize ``X[rows]`` (all rows when None) with training-set stats
+    and drop zero-variance columns."""
     X = np.asarray(features, dtype=np.float64)
     if X.shape[1] != stats.width:
         raise WidthMismatch(f"matrix has {X.shape[1]} columns, stats expect {stats.width}")
-    keep = stats.retained
-    # one row-major copy, standardised in place: X[:, keep] would come out
-    # column-major, which makes every later row gather strided
-    Z = np.compress(keep, X, axis=1)
-    Z -= stats.means[keep]
-    Z /= np.sqrt(stats.variances[keep])
+    cols = np.flatnonzero(stats.retained)
+    means, sds = stats.means[cols], np.sqrt(stats.variances[cols])
+    # row-major, filled a block at a time: X[:, cols] would come out
+    # column-major, which makes every later row gather strided.  mode="clip"
+    # writes straight into Z (mode="raise" buffers); every index is in range
+    Z = np.empty((len(X) if rows is None else len(rows), stats.p))
+    for i, block in _row_blocks(X, rows):
+        z = np.take(block, cols, axis=1, out=Z[i : i + len(block)], mode="clip")
+        z -= means
+        z /= sds
+        if not np.isfinite(z).all():
+            k = i + int(np.argmin(np.isfinite(z).all(axis=1)))
+            raise EncodeError(f"standardised row {k} of {len(Z)} holds a non-finite value")
     return Z
 
 
@@ -175,6 +223,8 @@ def apply_stats(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
 
 
 def save_stats(stats: FeatureStats, path):
+    if not len(stats.column_names) == len(stats.means) == len(stats.variances) == len(stats.retained):
+        raise EncodeError(f"{len(stats.column_names)} column names for {len(stats.means)} columns of stats")
     with open(path, "w", encoding="utf-8") as f:
         f.write("column\tmean\tvariance\tretained\n")
         for name, m, v, r in zip(stats.column_names, stats.means, stats.variances, stats.retained):
@@ -226,7 +276,7 @@ def save_dataset(ds: EncodedDataset, header_path, matrix_path, meta_path):
         f.write(f"rows={ds.n_rows}\n")
         f.write(f"raw_width={ds.raw_width}\n")
         f.write("columns=" + ",".join(ds.column_names) + "\n")
-    ds.features.astype("<f8").tofile(matrix_path)
+    np.ascontiguousarray(ds.features, dtype="<f8").tofile(matrix_path)  # no copy of a C-ordered float64 matrix
     with open(meta_path, "w", encoding="utf-8") as f:
         f.write("patient_id\tvisit_count\tlabel\n")
         for pid, vc, y in zip(ds.patient_ids, ds.visit_counts, ds.labels):
@@ -253,6 +303,8 @@ def load_dataset(header_path, matrix_path, meta_path) -> EncodedDataset:
         raise EncodeError(f"{header_path}: bad header: {e}") from None
     if rows < 0 or width < 0:
         raise EncodeError(f"{header_path}: negative rows={rows} or raw_width={width}")
+    if len(columns) != width:
+        raise EncodeError(f"{header_path}: {len(columns)} column names for raw_width={width}")
     X = np.fromfile(matrix_path, dtype="<f8")
     if X.size != rows * width:
         raise EncodeError(f"{matrix_path}: expected {rows * width} values, found {X.size}")
@@ -263,9 +315,12 @@ def load_dataset(header_path, matrix_path, meta_path) -> EncodedDataset:
             f.readline()
             for line in f:
                 pid, vc, y = line.rstrip("\n").split("\t")
+                vc, y = int(vc), int(y)
+                if vc < 1 or y not in (0, 1):
+                    raise ValueError(f"visit_count {vc} < 1" if vc < 1 else f"label {y} is not 0 or 1")
                 pids.append(pid)
-                counts.append(int(vc))
-                labels.append(int(y))
+                counts.append(vc)
+                labels.append(y)
         except UnicodeDecodeError:
             raise EncodeError(f"{meta_path}: not UTF-8 text") from None
         except ValueError as e:

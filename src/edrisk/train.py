@@ -56,6 +56,8 @@ class TrainConfig:
             raise TrainError(f"batch_size {self.batch_size} < 1")
         if self.total_steps < 1:
             raise TrainError(f"total_steps {self.total_steps} < 1")
+        if self.patience < 1:
+            raise TrainError(f"patience {self.patience} < 1")
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise TrainError(f"unknown optimizer {self.optimizer!r}")
 

@@ -211,7 +211,81 @@ class TestStageFiles:
         assert "EncodeError" in err and "'zzz' vs 'age'" in err
 
 
+    def _poke_feature(self, out, index_file, value):
+        """Set one retained raw feature of the first row named by ``index_file``."""
+        rows, _ = load_indices(out / index_file)
+        X = np.fromfile(out / "features.f64", dtype="<f8").reshape(-1, 435)
+        X[rows[0], 0] = value  # column 0, year, is retained
+        X.tofile(out / "features.f64")
+        return rows[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_pretrain_feature_exit_1(self, trained_copy, capsys, value):
+        stats = trained_copy / "stats.tsv"
+        before = stats.read_bytes()
+        self._poke_feature(trained_copy, "pretrain.idx", value)
+        assert run("split", "--out-dir", trained_copy, "--seed", 3) == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "column 'year' has mean " in err
+        assert stats.read_bytes() == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_test_feature_exit_1(self, trained_copy, capsys, value):
+        self._poke_feature(trained_copy, "test.idx", value)
+        assert run("eval", "--out-dir", trained_copy, "--arch", "nn2") == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "standardised row 0 " in err
+        assert not (trained_copy / "report_nn2.txt").exists()
+
+    @pytest.mark.parametrize("columns", ["", "age"], ids=["empty", "one-name"])
+    def test_header_names_short_of_width_exit_1(self, trained_copy, capsys, columns):
+        hdr = trained_copy / "features.hdr"
+        lines = hdr.read_text().splitlines()
+        names = lines[2].split("=", 1)[1].split(",")
+        lines[2] = "columns=" + (",".join(n for n in names if n != columns) if columns else "")
+        hdr.write_text("\n".join(lines) + "\n")
+        assert run("split", "--out-dir", trained_copy, "--seed", 3) == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "column names for raw_width=435" in err
+
+    @pytest.mark.parametrize(
+        "stage,field,value",
+        [
+            (("split", "--seed", 3), 2, "2"),
+            (("eval", "--arch", "nn2"), 1, "-1"),
+            (("eval", "--arch", "nn2"), 1, "0"),
+        ],
+        ids=["label-2", "visit-count-neg", "visit-count-0"],
+    )
+    def test_meta_value_out_of_range_exit_1(self, trained_copy, capsys, stage, field, value):
+        meta = trained_copy / "meta.tsv"
+        lines = meta.read_text().splitlines()
+        fields = lines[5].split("\t")
+        fields[field] = value
+        lines[5] = "\t".join(fields)
+        meta.write_text("\n".join(lines) + "\n")
+        assert run(stage[0], "--out-dir", trained_copy, *stage[1:]) == 1
+        err = capsys.readouterr().err
+        assert "EncodeError" in err and "meta.tsv: line 6" in err
+
+
 class TestArgumentValues:
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_exit_1(self, trained_copy, capsys, patience):
+        model = trained_copy / "model_nn2.mlp"
+        before = model.read_bytes()
+        assert run("train", "--out-dir", trained_copy, "--arch", "nn2", "--patience", patience) == 1
+        err = capsys.readouterr().err
+        assert "TrainError" in err and "patience" in err
+        assert model.read_bytes() == before
+
+    @pytest.mark.parametrize("visits", [0, -2])
+    def test_min_visits_below_one_exit_2(self, trained_copy, capsys, visits):
+        assert run("eval", "--out-dir", trained_copy, "--arch", "nn2", "--min-visits", visits) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"--min-visits {visits}" in err
+        assert not (trained_copy / "report_nn2.txt").exists()
+
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_exit_1(self, trained_copy, capsys, steps):
         model = trained_copy / "model_nn2.mlp"

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from edrisk import schema
 from edrisk.encode import (
+    BLOCK_ROWS,
     EncodedDataset,
+    FeatureStats,
     EncodeError,
     TooFewRows,
     WidthMismatch,
@@ -299,12 +303,127 @@ class TestStats:
         stats = load_stats(path)
         assert stats.variances[1] == 0.0 and not stats.retained[1]
 
+    def test_save_refuses_unequal_lengths(self, tmp_path):
+        stats = fit_stats(np.random.default_rng(27).normal(size=(5, 3)))
+        short = FeatureStats(stats.means, stats.variances, stats.retained, stats.column_names[:2])
+        with pytest.raises(EncodeError, match="2 column names for 3 columns"):
+            save_stats(short, tmp_path / "stats.tsv")
+        short = FeatureStats(stats.means, stats.variances[:2], stats.retained, stats.column_names)
+        with pytest.raises(EncodeError):
+            save_stats(short, tmp_path / "stats.tsv")
+
     def test_non_utf8_stats_rejected(self, tmp_path):
         path = tmp_path / "stats.tsv"
         save_stats(fit_stats(np.random.default_rng(24).normal(size=(5, 3))), path)
         path.write_bytes(path.read_bytes().replace(b"col_1", b"col_\xff"))
         with pytest.raises(EncodeError, match="UTF-8"):
             load_stats(path)
+
+
+def _old_apply(X, stats):
+    """The whole-matrix standardisation the block pass replaced."""
+    keep = stats.retained
+    Z = np.compress(keep, X, axis=1)
+    Z -= stats.means[keep]
+    Z /= np.sqrt(stats.variances[keep])
+    return Z
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedStats:
+    """The block passes give the bits of the whole-matrix numpy calls."""
+
+    @staticmethod
+    def matrix(n, seed=41):
+        rng = np.random.default_rng(seed)
+        # non-integer values over several magnitudes: no column sum is exact
+        scale = [1e-3, 0.1, 1.0, 3.7, 1e2, 1e4, 1.0]
+        X = rng.normal(size=(n, 7)) * scale + [0.0, 0.3, -2.0, 11.0, 0.0, 5e4, 0.0]
+        X[:, 6] = 2.5  # constant: dropped
+        return X
+
+    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+    def test_whole_matrix_bit_identical(self, n):
+        X = self.matrix(n)
+        stats = fit_stats(X)
+        assert np.array_equal(stats.means, X.mean(axis=0))
+        assert np.array_equal(stats.variances, X.var(axis=0))
+        assert stats.retained.tolist() == [True] * 6 + [False]
+        assert np.array_equal(apply_stats(X, stats), _old_apply(X, stats))
+
+    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+    def test_rows_with_repeats_bit_identical(self, n):
+        X = self.matrix(3 * BLOCK_ROWS + 5, seed=42)
+        rows = np.random.default_rng(n).integers(0, len(X), size=n)
+        rows[-1] = rows[0]
+        G = X[rows]
+        stats = fit_stats(X, None, rows)
+        assert np.array_equal(stats.means, G.mean(axis=0))
+        assert np.array_equal(stats.variances, G.var(axis=0))
+        assert np.array_equal(apply_stats(X, stats, rows), _old_apply(G, stats))
+
+    def test_rows_none_equals_every_row_in_order(self):
+        X = self.matrix(2 * BLOCK_ROWS + 3)
+        every = np.arange(len(X))
+        a, b = fit_stats(X), fit_stats(X, None, every)
+        assert np.array_equal(a.means, b.means) and np.array_equal(a.variances, b.variances)
+        assert np.array_equal(apply_stats(X, a), apply_stats(X, a, every))
+
+    def test_negative_zero_column(self):
+        X = self.matrix(BLOCK_ROWS + 9)
+        X[:, 1] = -0.0
+        stats = fit_stats(X)
+        assert np.array_equal(stats.means, X.mean(axis=0))
+        assert np.array_equal(np.signbit(stats.means), np.signbit(X.mean(axis=0)))
+        assert np.array_equal(np.signbit(stats.variances), np.signbit(X.var(axis=0)))
+        assert not stats.retained[1]
+
+    def test_empty_rows_standardise_to_empty(self):
+        X = self.matrix(10)
+        assert apply_stats(X, fit_stats(X), np.array([], dtype=np.int64)).shape == (0, 6)
+
+    def test_too_few_rows_counts_the_rows_given(self):
+        with pytest.raises(TooFewRows):
+            fit_stats(self.matrix(50), None, [7])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
+    def test_non_finite_stats_rejected(self, bad):
+        X = self.matrix(BLOCK_ROWS + 4)
+        X[BLOCK_ROWS + 2, 3] = bad
+        with pytest.raises(EncodeError, match="column 'col_3'"):
+            fit_stats(X)
+        fit_stats(X, None, np.arange(BLOCK_ROWS))  # the bad row is not among these
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_standardised_value_rejected(self, bad):
+        X = self.matrix(BLOCK_ROWS + 4)
+        stats = fit_stats(X)
+        X[BLOCK_ROWS + 1, 2] = bad
+        with pytest.raises(EncodeError, match=f"row {BLOCK_ROWS + 1} of {BLOCK_ROWS + 4}"):
+            apply_stats(X, stats)
+        with pytest.raises(EncodeError, match="row 1 of 2"):
+            apply_stats(X, stats, [0, BLOCK_ROWS + 1])
+        X[BLOCK_ROWS + 1, 6] = bad  # a dropped column is never standardised
+        X[BLOCK_ROWS + 1, 2] = 0.0
+        assert np.isfinite(apply_stats(X, stats)).all()
+
+    def test_no_temporary_as_large_as_the_rows(self):
+        rng = np.random.default_rng(43)
+        X = rng.integers(0, 4, size=(20_000, WIDTH)) * rng.uniform(0.5, 2.0, size=WIDTH)
+        rows = rng.permutation(20_000)[:16_000]
+        mib = 1 << 20
+        stats = fit_stats(X, None, rows)
+        assert _traced_peak(lambda: fit_stats(X, None, rows)) < 4 * mib
+        out_bytes = len(rows) * stats.p * 8
+        assert _traced_peak(lambda: apply_stats(X, stats, rows)) < out_bytes + 4 * mib
 
 
 class TestDatasetIO:
@@ -343,13 +462,20 @@ class TestDatasetIO:
             (2, lambda ls: ls[:2] + [ls[2].rsplit("\t", 1)[0]] + ls[3:], "line 3"),
             (2, lambda ls: ls[:2] + ["p\tx\t0"] + ls[3:], "line 3"),
             (2, lambda ls: ls[:2] + ["p\t1\t1.0"] + ls[3:], "line 3"),
+            (0, lambda ls: ls[:2] + ["columns="], "0 column names for raw_width"),
+            (0, lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]], f"{WIDTH - 1} column names for raw_width"),
+            (2, lambda ls: ls[:2] + ["p\t1\t2"] + ls[3:], "line 3: label 2 is not 0 or 1"),
+            (2, lambda ls: ls[:2] + ["p\t1\t-1"] + ls[3:], "line 3: label -1 is not 0 or 1"),
+            (2, lambda ls: ls[:2] + ["p\t0\t0"] + ls[3:], "line 3: visit_count 0 < 1"),
+            (2, lambda ls: ls[:3] + ["p\t-1\t1"] + ls[4:], "line 4: visit_count -1 < 1"),
             (2, lambda ls: ls[:-1], "rows, header says"),
             (2, lambda ls: ls + [ls[-1]], "rows, header says"),
         ],
         ids=[
             "hdr-no-rows", "hdr-no-width", "hdr-no-columns", "hdr-rows-abc", "hdr-width-float",
             "hdr-no-equals", "hdr-negative", "meta-two-fields", "meta-count", "meta-label",
-            "meta-short", "meta-long",
+            "hdr-no-names", "hdr-name-short", "meta-label-2", "meta-label-neg", "meta-count-0",
+            "meta-count-neg", "meta-short", "meta-long",
         ],
     )
     def test_malformed_header_or_meta_rejected(self, tmp_path, which, mutate, message):

@@ -274,6 +274,9 @@ class TestStepSize:
             TrainConfig(total_steps=0)
         with pytest.raises(TrainError):
             TrainConfig(optimizer="adam")
+        for patience in (0, -1):
+            with pytest.raises(TrainError, match="patience"):
+                TrainConfig(patience=patience)
 
 
 class TestTrain:
