@@ -160,18 +160,8 @@ def _load_train_inputs(out: Path):
     return ds, stats, pre, plan, tr, val
 
 
-def cmd_train(args) -> int:
-    out = Path(args.out_dir)
-    t0 = time.time()
-    arch = args.arch.lower()
-    if arch not in ARCH_INDEX:
-        raise ConfigError(f"unknown --arch {args.arch!r}")
-    ds, stats, pre, plan, tr, val = _load_train_inputs(out)
-    # each set is standardised straight from the raw matrix; standardising
-    # is element-wise, so this equals standardising first and gathering after
-    rows = pre[plan]
-    train_rows, val_rows = rows[tr], rows[val]
-    cfg = training.TrainConfig(
+def _train_config(args, arch: str) -> training.TrainConfig:
+    return training.TrainConfig(
         optimizer=ARCH_OPTIMIZER[arch],
         eta0=args.eta0,
         total_steps=args.steps,
@@ -179,6 +169,20 @@ def cmd_train(args) -> int:
         patience=args.patience,
         seed=args.seed + 20 + ARCH_INDEX[arch],
     )
+
+
+def cmd_train(args) -> int:
+    out = Path(args.out_dir)
+    t0 = time.time()
+    arch = args.arch.lower()
+    if arch not in ARCH_INDEX:
+        raise ConfigError(f"unknown --arch {args.arch!r}")
+    cfg = _train_config(args, arch)
+    ds, stats, pre, plan, tr, val = _load_train_inputs(out)
+    # each set is standardised straight from the raw matrix; standardising
+    # is element-wise, so this equals standardising first and gathering after
+    rows = pre[plan]
+    train_rows, val_rows = rows[tr], rows[val]
     model = mlp.init(mlp.Architecture.named(arch), stats.p, seed=args.seed + 10 + ARCH_INDEX[arch])
     model, log, reason = training.train(
         model,
@@ -238,6 +242,11 @@ def cmd_eval(args) -> int:
 def cmd_repro(args) -> int:
     """Run every stage for nn2, nn4, nn8 and emit one combined report."""
     out = Path(args.out_dir)
+    # check every flag before the first stage runs, with train's and eval's own checks
+    for arch in ARCH_INDEX:
+        _train_config(args, arch)
+    _parse_filters(args)
+    evaluation.check_threshold(args.threshold)
     cmd_synth(args)
     args.cohort = str(out / "cohort.csv")
     args.spec = str(out / "spec.txt")

@@ -178,6 +178,11 @@ class EvalReport:
     results: list[FilterResult] = field(default_factory=list)
 
 
+def check_threshold(threshold: float):
+    if not 0.0 <= threshold <= 1.0:
+        raise EvalError(f"threshold {threshold} outside [0, 1]")
+
+
 def evaluate(
     model: MLPModel,
     test_set: EncodedDataset,
@@ -188,8 +193,7 @@ def evaluate(
 ) -> EvalReport:
     """Score every row once, then report metrics per filter.  Degenerate
     filters (empty, or single-class) get absent metrics, not a failure."""
-    if not 0.0 <= threshold <= 1.0:
-        raise EvalError(f"threshold {threshold} outside [0, 1]")
+    check_threshold(threshold)
     X = apply_stats(test_set.features, stats)
     probs = forward_batch(model, X)
     report = EvalReport(model_name=model_name, threshold=threshold)

@@ -30,6 +30,8 @@ bisection against a simulated cohort, lives with its tests in
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +63,12 @@ DEFAULT_TARGETS: dict[str, float] = {
     "659": 0.162,
     "660/661": 0.0572,
 }
+
+
+# a fork costs ~5 ms (~15 ms with 400 MiB resident) and a patient ~80 us; on a
+# 2-vCPU VM two workers took 0.6-1.0 of the serial time at 500-1,000 patients,
+# swayed by host load, and 0.6-0.75 of it at 2,000
+MIN_PATIENTS_PER_WORKER = 1_000
 
 
 class SynthError(Exception):
@@ -156,38 +164,10 @@ def _draw_visit_counts(rng, cfg, n):
     return np.minimum(rng.geometric(cfg.visit_geom_p, size=n), cfg.max_visits)
 
 
-def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
-    """A cohort of ``cfg.n_patients`` patients, their visits in patient
-    order and each patient's in visit_seq order.
-
-    Deterministic given cfg.seed; patients use independent sub-streams
-    seeded by (seed, patient index), so output does not depend on how the
-    patient loop is scheduled, and the first n patients of a larger cohort
-    equal an n-patient cohort of the same seed.
-
-    Stream contract.  Patient i draws from ``default_rng([cfg.seed, i])``
-    in this order, and any rewrite must keep it (``tests/test_synth.py``
-    holds the original loop as the oracle):
-
-    1. the visit count k, one geometric draw truncated at ``max_visits``;
-    2. age in [10, 20), zip in [90000, 96200), county in [1, 59), then k
-       service years in [2006, 2010), sorted afterwards;
-    3. one uniform per boosted code (sorted by code): the carried codes;
-    4. k binomial(6, extra_code_prob) draws; visit j gets 1 + draw j
-       background codes;
-    5. the background codes, uniform over the non-boosted codes, visit by
-       visit; then k levels per categorical field in ``CATEGORICAL_FIELDS``
-       order; then k facility ids in [1, 401);
-    6. if any code is carried, k rows of one uniform per carried code: the
-       carried codes that recur in each visit;
-    7. one uniform against the outcome probability.
-
-    Bounded integers use Lemire's method, which takes one 32-bit word per
-    value whether the bounds are scalars or arrays, so each of steps 2 and
-    5 is a single ``integers`` call with per-value bounds."""
-    cfg.validate()
-    if spec is None:
-        spec = default_spec()
+def _draw_patients(cfg: SynthConfig, spec: CategoricalSpec, first: int, stop: int):
+    """Patients ``first`` to ``stop - 1`` of ``generate``'s cohort as arrays: the
+    (k, age, zip, county, outcome) rows, then per visit the years, the level
+    and facility draws, the codes (visit after visit) and the code counts."""
     boosted = np.array(cfg.boosted_codes, dtype=np.int64)
     qvec = np.array([cfg.carrier_prob.get(int(c), 0.0) for c in boosted])
     background = np.array(sorted(set(ALL_CCS.tolist()) - set(boosted.tolist())), dtype=np.int64)
@@ -202,7 +182,7 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
     visit_draws: list[list[int]] = []  # per visit: 8 level indices, then the facility id
     codes: list[int] = []  # every visit's codes, visit after visit
     n_visit_codes: list[int] = []
-    for i in range(cfg.n_patients):
+    for i in range(first, stop):
         rng = np.random.default_rng([cfg.seed, i])
         k = int(_draw_visit_counts(rng, cfg, 1)[0])
         bounds = head_bounds.get(k)
@@ -245,12 +225,90 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
         y = int(rng.random() < p_out)
         patients.append((k, *head[:3].tolist(), y))
 
-    per_patient = np.array(patients, dtype=np.int64).reshape(-1, 5)
+    return (np.array(patients, dtype=np.int64).reshape(-1, 5), np.array(years, dtype=np.int64),
+            np.array(visit_draws, dtype=np.int64).reshape(-1, n_fields + 1),
+            np.array(codes, dtype=np.int64), np.array(n_visit_codes, dtype=np.int64))
+
+
+def _send_draws(conn, *args):
+    """A forked child's work: send its range's draws, or why it has none."""
+    try:
+        conn.send(_draw_patients(*args))
+    except Exception as e:
+        conn.send(f"{type(e).__name__}: {e}")
+
+
+def _receive_draws(conn):
+    try:
+        part = conn.recv()
+    except EOFError:
+        part = "it exited before sending its draws"
+    if isinstance(part, str):
+        raise SynthError(f"a synth worker failed: {part}")
+    return part
+
+
+def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
+    """A cohort of ``cfg.n_patients`` patients, their visits in patient
+    order and each patient's in visit_seq order.
+
+    Deterministic given cfg.seed; patients use independent sub-streams
+    seeded by (seed, patient index), so output does not depend on how the
+    patient loop is scheduled, and the first n patients of a larger cohort
+    equal an n-patient cohort of the same seed.
+
+    Stream contract.  Patient i draws from ``default_rng([cfg.seed, i])``
+    in this order, and any rewrite must keep it (``tests/test_synth.py``
+    holds the original loop as the oracle):
+
+    1. the visit count k, one geometric draw truncated at ``max_visits``;
+    2. age in [10, 20), zip in [90000, 96200), county in [1, 59), then k
+       service years in [2006, 2010), sorted afterwards;
+    3. one uniform per boosted code (sorted by code): the carried codes;
+    4. k binomial(6, extra_code_prob) draws; visit j gets 1 + draw j
+       background codes;
+    5. the background codes, uniform over the non-boosted codes, visit by
+       visit; then k levels per categorical field in ``CATEGORICAL_FIELDS``
+       order; then k facility ids in [1, 401);
+    6. if any code is carried, k rows of one uniform per carried code: the
+       carried codes that recur in each visit;
+    7. one uniform against the outcome probability.
+
+    Bounded integers use Lemire's method, which takes one 32-bit word per
+    value whether the bounds are scalars or arrays, so each of steps 2 and
+    5 is a single ``integers`` call with per-value bounds.
+
+    Schedule.  The patients are cut into one contiguous range per usable CPU,
+    none under ``MIN_PATIENTS_PER_WORKER``; this process draws the first, a
+    forked child each other one (serial without ``fork``).  Streams depend on
+    the patient index alone, so the joined ranges equal the serial draw byte
+    for byte.  A failed child is a ``SynthError``; none outlives the call."""
+    cfg.validate()
+    if spec is None:
+        spec = default_spec()
+    can_fork = hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods()
+    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
+    workers = max(1, min(cpus, cfg.n_patients // MIN_PATIENTS_PER_WORKER))
+    cuts = [cfg.n_patients * w // workers for w in range(workers + 1)]
+    children = []
+    try:
+        for first, stop in zip(cuts[1:-1], cuts[2:]):
+            conn, child_end = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(target=_send_draws,
+                                                                args=(child_end, cfg, spec, first, stop))
+            child.start()
+            children.append((child, conn))
+            child_end.close()  # open in the child alone, so a child that dies reads as EOF
+        parts = [_draw_patients(cfg, spec, 0, cuts[1])] + [_receive_draws(conn) for _, conn in children]
+    finally:
+        for child, _ in children:
+            child.kill()  # done sending, or blocked sending draws that will not be read
+            child.join()
+    per_patient, year, draws, codes, n_visit_codes = (np.concatenate(column) for column in zip(*parts))
     ks = per_patient[:, 0]
     age, zip_code, county, outcome = np.repeat(per_patient[:, 1:], ks, axis=0).T
-    draws = np.array(visit_draws, dtype=np.int64).reshape(-1, n_fields + 1)
-    year = np.array(years, dtype=np.int64)
-    present = np.arange(MAX_CODES_PER_VISIT) < np.array(n_visit_codes, dtype=np.int64)[:, None]
+    n_fields = len(CATEGORICAL_FIELDS)
+    present = np.arange(MAX_CODES_PER_VISIT) < n_visit_codes[:, None]
     ccs = np.zeros(present.shape, dtype=np.int64)
     ccs[present] = codes  # row-major: each visit's codes fill its first slots
     pids = np.array([f"P{i:07d}" for i in range(cfg.n_patients)], dtype=object)

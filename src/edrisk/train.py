@@ -11,6 +11,7 @@ computes it, so training never makes a separate pass over the training set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise TrainError(f"momentum {self.momentum} outside [0, 1)")
-        if not self.eta0 > self.eta_floor >= 0.0:
-            raise TrainError(f"need eta0 > eta_floor >= 0, got {self.eta0}, {self.eta_floor}")
+        # a finite eta0 above eta_floor makes eta_floor finite too
+        if not (math.isfinite(self.eta0) and self.eta0 > self.eta_floor >= 0.0):
+            raise TrainError(f"need finite eta0 > eta_floor >= 0, got {self.eta0}, {self.eta_floor}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size {self.batch_size} < 1")
         if self.total_steps < 1:

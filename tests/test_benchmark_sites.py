@@ -48,3 +48,23 @@ def test_smoke_workload_passes_its_checks(monkeypatch, tmp_path, name):
     outcome = wl.run()
     assert failures == [] and checks.failed == 0 and checks.attempted > 0
     assert outcome.visits > 0 and outcome.fingerprint
+
+
+def test_cohort_build_checks_hold_on_the_parallel_draw(monkeypatch, tmp_path):
+    # the workload's own output checks, on a serial and on a forked draw of
+    # the smoke cohort, before any benchmark run
+    from test_synth import force_workers
+
+    workloads = _load_workloads(monkeypatch)
+
+    def fingerprint():
+        failures = []
+        checks = workloads.Checks(failures.append)
+        outcome = workloads.WORKLOADS["cohort_build"](5, "smoke", tmp_path, checks).run()
+        assert failures == [] and checks.failed == 0 and checks.attempted > 0
+        return outcome.fingerprint
+
+    force_workers(monkeypatch, 1)
+    serial = fingerprint()
+    force_workers(monkeypatch, 2)
+    assert fingerprint() == serial

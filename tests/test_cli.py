@@ -355,3 +355,19 @@ class TestRepro:
         models = {ln.split("\t")[0] for ln in tsv[1:]}
         assert models == {"nn2", "nn4", "nn8"}
         assert (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,code,message",
+        [
+            ("--batch-size", 0, 1, "batch_size"),
+            ("--patience", 0, 1, "patience"),
+            ("--eta0", "inf", 1, "eta0"),
+            ("--threshold", 2, 1, "threshold"),
+            ("--min-visits", -2, 2, "--min-visits -2"),
+        ],
+    )
+    def test_bad_flag_fails_before_synth(self, tmp_path, capsys, flag, value, code, message):
+        assert run("repro", "--out-dir", tmp_path, "--patients", 300, flag, value) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "cohort.csv").exists()

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edrisk import synth
+from edrisk.cli import main
 from edrisk.schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS, check_cohort, default_spec, validate_cohort
 from edrisk.synth import (
     ALL_CCS,
@@ -214,6 +218,90 @@ class TestStreamContract:
         n_small = len(small)
         assert large[:n_small] == small
         assert large[n_small].patient_id == "P0000100"
+
+
+def force_workers(monkeypatch, workers):
+    """Make ``generate`` cut any cohort of at least ``workers`` patients into
+    ``workers`` ranges, whatever the number of CPUs here (1: a serial draw)."""
+    monkeypatch.setattr(synth, "MIN_PATIENTS_PER_WORKER", 1)
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+
+# A forked child appends to its own copy of ``_parent_ranges``, so the list
+# holds the ranges the parent drew itself.
+_real_draw = synth._draw_patients
+_parent_ranges = []
+
+
+def _recording_draw(cfg, spec, first, stop):
+    _parent_ranges.append((first, stop))
+    return _real_draw(cfg, spec, first, stop)
+
+
+def _raise_in_child(cfg, spec, first, stop):
+    if first > 0:
+        raise ValueError("planted fault")
+    return _real_draw(cfg, spec, first, stop)
+
+
+def _raise_in_parent(cfg, spec, first, stop):
+    if first == 0:
+        raise ValueError("planted fault")
+    return _real_draw(cfg, spec, first, stop)
+
+
+def _exit_in_child(cfg, spec, first, stop):
+    if first > 0:
+        os._exit(1)
+    return _real_draw(cfg, spec, first, stop)
+
+
+class TestParallelDraw:
+    """Patient ranges drawn by forked children must give the serial cohort."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 7, 301])
+    def test_matches_reference(self, monkeypatch, workers, n):
+        cfg = default_config(n_patients=n, seed=23)
+        force_workers(monkeypatch, workers)
+        monkeypatch.setattr(synth, "_draw_patients", _recording_draw)
+        _parent_ranges.clear()
+        assert generate(cfg) == to_cohort(_reference_generate(cfg))
+        # the parent drew only the first of min(workers, n) ranges
+        assert _parent_ranges == [(0, n // workers if n >= workers else n)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_cmd_synth_writes_the_serial_bytes(self, monkeypatch, tmp_path, workers):
+        force_workers(monkeypatch, 1)
+        assert main(["synth", "--out-dir", str(tmp_path / "serial"), "--patients", "301", "--seed", "8"]) == 0
+        force_workers(monkeypatch, workers)
+        assert main(["synth", "--out-dir", str(tmp_path / "parallel"), "--patients", "301", "--seed", "8"]) == 0
+        for name in ("cohort.csv", "spec.txt"):
+            assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", [_raise_in_child, _exit_in_child], ids=["raises", "exits"])
+    def test_failed_child_is_a_synth_error(self, monkeypatch, tmp_path, capfd, fault):
+        force_workers(monkeypatch, 3)
+        monkeypatch.setattr(synth, "_draw_patients", fault)
+        with pytest.raises(synth.SynthError, match="synth worker failed"):
+            generate(default_config(n_patients=301, seed=9))
+        assert multiprocessing.active_children() == []
+        capfd.readouterr()
+        assert main(["synth", "--out-dir", str(tmp_path), "--patients", "301", "--seed", "9"]) == 1
+        out, err = capfd.readouterr()
+        assert err.startswith("pipeline error: SynthError:") and len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "cohort.csv").exists()
+
+    def test_parent_fault_stops_every_child(self, monkeypatch):
+        # each child's draws outgrow a pipe's buffer, so unless it is stopped
+        # it blocks in its send and the parent in its join
+        force_workers(monkeypatch, 3)
+        monkeypatch.setattr(synth, "_draw_patients", _raise_in_parent)
+        with pytest.raises(ValueError, match="planted fault"):
+            generate(default_config(n_patients=3_000, seed=9))
+        assert multiprocessing.active_children() == []
 
 
 class TestStructureModel:

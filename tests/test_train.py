@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,9 @@ class TestStepSize:
             TrainConfig(momentum=1.0)
         with pytest.raises(TrainError):
             TrainConfig(eta0=0.001, eta_floor=0.01)
+        for eta0, eta_floor in ((math.inf, 0.0), (math.nan, 0.0), (math.inf, math.inf), (0.01, math.nan)):
+            with pytest.raises(TrainError, match="eta0"):
+                TrainConfig(eta0=eta0, eta_floor=eta_floor)
         with pytest.raises(TrainError):
             TrainConfig(batch_size=0)
         with pytest.raises(TrainError):
