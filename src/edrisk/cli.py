@@ -299,9 +299,12 @@ def _apply_config(parser, args, argv):
     Each value is cast as its flag would cast it, and an append-type flag
     (--min-visits, --ccs-filter) takes the value as its one element."""
     kv = _read_config_file(args.config)
-    given = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
+    command = sub.choices[args.command]
+    actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
+    # parse again with every default None: a flag given in any form argparse accepts is not None
+    command.set_defaults(**dict.fromkeys(actions))
+    given = {k for k, v in vars(parser.parse_args(argv)).items() if v is not None}
     for k, v in kv.items():
         if k in given or k not in actions:
             continue

@@ -1,9 +1,9 @@
 """Test-set evaluation: confusion metrics at a threshold, ROC/AUC, and
 cohort filters by minimum visit count or prior CCS diagnosis group.
 
-AUC is computed as the Mann-Whitney statistic via midranks (ties get half
-credit), O(n log n).  Metrics with a zero denominator are reported as
-None, never as 0.
+AUC (the Mann-Whitney statistic, ties get half credit) and the ROC points
+come from one sort of the scores into tie groups, O(n log n).  Metrics with
+a zero denominator are reported as None, never as 0.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .encode import EncodedDataset, FeatureStats, apply_stats
 from .schema import CCS_SLOT
@@ -74,41 +73,38 @@ def metrics(c: ConfusionCounts) -> tuple[float | None, float | None, float | Non
     return sens, spec, prec
 
 
-def auc(probs, labels) -> float:
-    """P(score of a random positive > score of a random negative), ties 1/2."""
+def _score_groups(probs, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(positives, negatives) at each distinct score, highest score first."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.shape != labels.shape:
         raise LengthMismatch(f"{probs.shape} vs {labels.shape}")
+    if not np.isfinite(probs).all():
+        raise EvalError(f"{what} needs finite scores")
     pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("AUC needs both classes present")
-    ranks = rankdata(probs)  # midranks
-    rank_sum = ranks[pos].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    if pos.all() or not pos.any():
+        raise SingleClass(f"{what} needs both classes present")
+    distinct, group = np.unique(-probs, return_inverse=True)
+    k = len(distinct)
+    return np.bincount(group[pos], minlength=k), np.bincount(group[~pos], minlength=k)
+
+
+def auc(probs, labels) -> float:
+    """P(score of a random positive > score of a random negative), ties 1/2."""
+    n_pos, n_neg = _score_groups(probs, labels, "AUC")
+    size = n_pos + n_neg
+    # ascending midrank of each group: every midrank is a half-integer, so the rank sum is exact
+    midrank = size.sum() - np.cumsum(size) + (size + 1) / 2.0
+    pos, neg = int(n_pos.sum()), int(n_neg.sum())
+    return float((n_pos @ midrank - pos * (pos + 1) / 2.0) / (pos * neg))
 
 
 def roc_points(probs, labels) -> np.ndarray:
     """(FPR, TPR) at every distinct score threshold, endpoints included;
     rows ordered from (0,0) to (1,1)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC needs both classes present")
-    order = np.argsort(-probs, kind="stable")
-    sorted_probs = probs[order]
-    tp_cum = np.cumsum(pos[order])
-    fp_cum = np.cumsum(~pos[order])
-    # keep the last row of each tied-score run
-    distinct = np.r_[sorted_probs[1:] != sorted_probs[:-1], True]
-    tpr = tp_cum[distinct] / n_pos
-    fpr = fp_cum[distinct] / n_neg
-    return np.vstack([[0.0, 0.0], np.column_stack([fpr, tpr])])
+    n_pos, n_neg = _score_groups(probs, labels, "ROC")
+    tp, fp = np.cumsum(n_pos), np.cumsum(n_neg)
+    return np.vstack([[0.0, 0.0], np.column_stack([fp / fp[-1], tp / tp[-1]])])
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,10 @@ def evaluate(
     filters (empty, or single-class) get absent metrics, not a failure."""
     check_threshold(threshold)
     X = apply_stats(test_set.features, stats)
-    probs = forward_batch(model, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = forward_batch(model, X)
+    if not np.isfinite(probs).all():
+        raise EvalError(f"model {model_name} gives a non-finite score on some test rows")
     report = EvalReport(model_name=model_name, threshold=threshold)
     for filt in filters:
         m = filt.mask(test_set)

@@ -234,4 +234,6 @@ def load_model(path) -> MLPModel:
     if len(blob) != 8 * need:
         raise ShapeCorruption(f"{path}: expected {need} parameters ({8 * need} bytes), got {len(blob)} bytes")
     theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)  # an owned, writable copy
+    if not np.isfinite(theta).all():
+        raise ShapeCorruption(f"{path}: parameter {np.flatnonzero(~np.isfinite(theta))[0]} is not finite")
     return MLPModel(sizes, theta, selu_lambda, selu_alpha)

@@ -1,11 +1,15 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edrisk.cli import main
 from edrisk.encode import load_dataset, load_stats
-from edrisk.mlp import load_model
+from edrisk.mlp import load_model, save_model
 from edrisk.resample import load_indices
 
 
@@ -237,6 +241,26 @@ class TestStageFiles:
         assert "EncodeError" in err and "standardised row 0 " in err
         assert not (trained_copy / "report_nn2.txt").exists()
 
+    def test_non_finite_model_scores_exit_1(self, trained_copy, capsys):
+        path = trained_copy / "model_nn2.mlp"
+        model = load_model(path)
+        model.theta *= 1e200  # still finite, but the forward pass overflows
+        save_model(model, path)
+        assert run("eval", "--out-dir", trained_copy, "--arch", "nn2") == 1
+        err = capsys.readouterr().err
+        assert "EvalError" in err and "non-finite score" in err and len(err.splitlines()) == 1
+        assert not (trained_copy / "report_nn2.txt").exists()
+
+    def test_non_finite_model_parameter_exit_1(self, trained_copy, capsys):
+        path = trained_copy / "model_nn2.mlp"
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        assert run("eval", "--out-dir", trained_copy, "--arch", "nn2") == 1
+        err = capsys.readouterr().err
+        assert "ShapeCorruption" in err and "is not finite" in err
+        assert not (trained_copy / "report_nn2.txt").exists()
+
     @pytest.mark.parametrize("columns", ["", "age"], ids=["empty", "one-name"])
     def test_header_names_short_of_width_exit_1(self, trained_copy, capsys, columns):
         hdr = trained_copy / "features.hdr"
@@ -313,11 +337,14 @@ class TestConfigFile:
         assert run("synth", "--out-dir", baseline, "--patients", 30, "--seed", 9) == 0
         assert (out / "cohort.csv").read_text() == (baseline / "cohort.csv").read_text()
 
-    def test_explicit_flag_wins_over_config(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag", [("--patients", 10), ("--patients=10",), ("--pat", 10)], ids=["spaced", "equals", "abbreviated"]
+    )
+    def test_explicit_flag_wins_over_config(self, tmp_path, flag):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("patients=30\n")
         out = tmp_path / "out"
-        assert run("--config", cfg, "synth", "--out-dir", out, "--patients", 10) == 0
+        assert run("--config", cfg, "synth", "--out-dir", out, *flag) == 0
         # 10 patients, not 30
         header_plus_rows = (out / "cohort.csv").read_text().splitlines()
         pids = {ln.split(",")[0] for ln in header_plus_rows[1:]}
@@ -371,3 +398,15 @@ class TestRepro:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "cohort.csv").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import edrisk.cli, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"

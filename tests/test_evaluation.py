@@ -3,6 +3,7 @@ import pytest
 
 from edrisk.evaluation import (
     ConfusionCounts,
+    EvalError,
     LengthMismatch,
     SingleClass,
     SubgroupFilter,
@@ -90,7 +91,7 @@ class TestAuc:
             labels = (rng.random(n) < 0.4).astype(np.int64)
             if labels.sum() in (0, n):
                 continue
-            assert auc(probs, labels) == pytest.approx(brute_force_auc(probs, labels), abs=1e-12)
+            assert auc(probs, labels) == brute_force_auc(probs, labels)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
@@ -103,6 +104,19 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             auc([0.1, 0.9], [1, 1])
+
+
+@pytest.mark.parametrize("score_fn", [auc, roc_points])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_rejected(score_fn, bad):
+    with pytest.raises(EvalError, match="finite"):
+        score_fn([0.2, bad, 0.7, 0.4], [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("score_fn", [auc, roc_points])
+def test_length_mismatch_rejected(score_fn):
+    with pytest.raises(LengthMismatch):
+        score_fn([0.2, 0.7, 0.4], [0, 1])
 
 
 class TestRoc:
@@ -126,6 +140,22 @@ class TestRoc:
         pts = roc_points(probs, labels)
         area = np.trapezoid(pts[:, 1], pts[:, 0])
         assert area == pytest.approx(auc(probs, labels), abs=1e-12)
+
+    def test_tied_scores_match_threshold_count_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(5, 150))
+            probs = rng.integers(0, 8, size=n) / 8.0
+            labels = (rng.random(n) < 0.4).astype(np.int64)
+            if labels.sum() in (0, n):
+                continue
+            pos, neg = probs[labels == 1], probs[labels == 0]
+            # one point per distinct threshold t, highest first: the share of each class scoring >= t
+            oracle = [[0.0, 0.0]] + [
+                [(neg >= t).sum() / len(neg), (pos >= t).sum() / len(pos)]
+                for t in sorted(set(probs.tolist()), reverse=True)
+            ]
+            np.testing.assert_array_equal(roc_points(probs, labels), oracle, strict=True)
 
     def test_one_point_per_distinct_threshold(self):
         pts = roc_points([0.2, 0.2, 0.7, 0.7], [0, 1, 0, 1])

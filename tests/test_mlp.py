@@ -369,6 +369,16 @@ class TestModelIO:
         with pytest.raises(ShapeCorruption):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        rng = np.random.default_rng(11)
+        m = random_model(rng, 4, [3])
+        m.theta[5] = bad
+        path = tmp_path / "m.mlp"
+        save_model(m, path)
+        with pytest.raises(ShapeCorruption, match="parameter 5 is not finite"):
+            load_model(path)
+
     def test_inconsistent_depth_rejected(self, tmp_path):
         path = tmp_path / "m.mlp"
         path.write_bytes(b"MLP1\ndepth=3\nsizes=2,2\nlambda=1.0\nalpha=1.0\nend\n")
