@@ -41,10 +41,14 @@ class BootstrapPlan:
         return len(self.indices)
 
 
-def split(n_rows: int, fraction: float, seed: int) -> SplitIndices:
-    """Uniformly shuffle 0..n_rows-1 and cut at floor(fraction * n_rows)."""
+def check_fraction(fraction: float):
     if not 0.0 < fraction < 1.0:
         raise DegenerateSplit(f"fraction {fraction} outside (0, 1)")
+
+
+def split(n_rows: int, fraction: float, seed: int) -> SplitIndices:
+    """Uniformly shuffle 0..n_rows-1 and cut at floor(fraction * n_rows)."""
+    check_fraction(fraction)
     if n_rows < 2:
         raise DegenerateSplit(f"cannot split {n_rows} rows")
     k = int(np.floor(fraction * n_rows))

@@ -30,9 +30,8 @@ bisection against a simulated cohort, lives with its tests in
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .schema import (
     Cohort,
     default_spec,
 )
+from .workers import run_forked, usable_cpus
 
 RISK_GROUPS: dict[str, tuple[int, ...]] = {
     "662": (662,),
@@ -230,22 +230,12 @@ def _draw_patients(cfg: SynthConfig, spec: CategoricalSpec, first: int, stop: in
             np.array(codes, dtype=np.int64), np.array(n_visit_codes, dtype=np.int64))
 
 
-def _send_draws(conn, *args):
-    """A forked child's work: send its range's draws, or why it has none."""
+def _draw_in_child(*args):
+    """A forked child's range: its draws, or a ``SynthError`` saying why it has none."""
     try:
-        conn.send(_draw_patients(*args))
+        return _draw_patients(*args)
     except Exception as e:
-        conn.send(f"{type(e).__name__}: {e}")
-
-
-def _receive_draws(conn):
-    try:
-        part = conn.recv()
-    except EOFError:
-        part = "it exited before sending its draws"
-    if isinstance(part, str):
-        raise SynthError(f"a synth worker failed: {part}")
-    return part
+        raise SynthError(f"a synth worker failed: {type(e).__name__}: {e}") from None
 
 
 def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
@@ -286,24 +276,13 @@ def generate(cfg: SynthConfig, spec: CategoricalSpec | None = None) -> Cohort:
     cfg.validate()
     if spec is None:
         spec = default_spec()
-    can_fork = hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods()
-    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
-    workers = max(1, min(cpus, cfg.n_patients // MIN_PATIENTS_PER_WORKER))
+    workers = max(1, min(usable_cpus(), cfg.n_patients // MIN_PATIENTS_PER_WORKER))
     cuts = [cfg.n_patients * w // workers for w in range(workers + 1)]
-    children = []
-    try:
-        for first, stop in zip(cuts[1:-1], cuts[2:]):
-            conn, child_end = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.get_context("fork").Process(target=_send_draws,
-                                                                args=(child_end, cfg, spec, first, stop))
-            child.start()
-            children.append((child, conn))
-            child_end.close()  # open in the child alone, so a child that dies reads as EOF
-        parts = [_draw_patients(cfg, spec, 0, cuts[1])] + [_receive_draws(conn) for _, conn in children]
-    finally:
-        for child, _ in children:
-            child.kill()  # done sending, or blocked sending draws that will not be read
-            child.join()
+    parts = run_forked(
+        [partial(_draw_in_child, cfg, spec, first, stop) for first, stop in zip(cuts[1:-1], cuts[2:])],
+        SynthError("a synth worker failed: it exited before sending its draws"),
+        local=lambda: _draw_patients(cfg, spec, 0, cuts[1]),
+    )
     per_patient, year, draws, codes, n_visit_codes = (np.concatenate(column) for column in zip(*parts))
     ks = per_patient[:, 0]
     age, zip_code, county, outcome = np.repeat(per_patient[:, 1:], ks, axis=0).T

@@ -1,16 +1,20 @@
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edrisk.cli import main
+from edrisk import cli, workers
+from edrisk.cli import StageInputMissing, main
 from edrisk.encode import load_dataset, load_stats
 from edrisk.mlp import load_model, save_model
 from edrisk.resample import load_indices
+from edrisk.train import TrainError
 
 
 def run(*argv):
@@ -326,6 +330,14 @@ class TestArgumentValues:
         assert "EvalError" in err and "threshold" in err
         assert not (trained_copy / "report_nn2.txt").exists()
 
+    @pytest.mark.parametrize("command", [["synth"], ["split"], ["train", "--arch", "nn2"], ["repro"]])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command[0], "--out-dir", out, "--seed", -1, *command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed -1") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
@@ -357,6 +369,15 @@ class TestConfigFile:
         assert run("--config", cfg, "eval", "--out-dir", trained_copy, "--arch", "nn2") == 0
         labels = [ln.split("\t")[1] for ln in (trained_copy / "report_nn2.tsv").read_text().splitlines()[1:]]
         assert labels == ["all", label]
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "synth", "--out-dir", out, "--patients", 30) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed -1") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -391,6 +412,9 @@ class TestRepro:
             ("--eta0", "inf", 1, "eta0"),
             ("--threshold", 2, 1, "threshold"),
             ("--min-visits", -2, 2, "--min-visits -2"),
+            ("--fraction", 1.5, 1, "fraction 1.5 outside (0, 1)"),
+            ("--fraction", 0, 1, "fraction 0.0 outside (0, 1)"),
+            ("--fraction", "nan", 1, "fraction nan outside (0, 1)"),
         ],
     )
     def test_bad_flag_fails_before_synth(self, tmp_path, capsys, flag, value, code, message):
@@ -398,6 +422,128 @@ class TestRepro:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "cohort.csv").exists()
+
+
+def force_cpus_and_blas(monkeypatch, cpus, openblas=None, omp=None):
+    """Make ``repro`` see ``cpus`` usable CPUs and the given BLAS thread
+    variables (None: unset), whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+def force_fan_out(monkeypatch, parallel):
+    force_cpus_and_blas(monkeypatch, 2 if parallel else 1, openblas="1")
+
+
+_real_train_arch = cli._train_arch
+_real_run_forked = workers.run_forked
+
+
+def _fail_nn4_with(fault):
+    def train_arch(args, out, inputs, arch, started):
+        if arch == "nn4":
+            fault()
+        return _real_train_arch(args, out, inputs, arch, started)
+
+    return train_arch
+
+
+def _raise(error):
+    def fault():
+        raise error
+
+    return fault
+
+
+class TestReproFanOut:
+    """``repro`` trains its archs in forked children only where the guard
+    allows, and either path gives the same files, stdout and exit codes."""
+
+    ARGV = ("--patients", 300, "--seed", 4, "--steps", 60, "--batch-size", 64)
+
+    def _repro(self, monkeypatch, capsys, out, parallel):
+        force_fan_out(monkeypatch, parallel)
+        forked = []
+
+        def run_forked(calls, died):
+            forked.append(len(calls))
+            return _real_run_forked(calls, died)
+
+        monkeypatch.setattr(workers, "run_forked", run_forked)
+        code = run("repro", "--out-dir", out, *self.ARGV)
+        captured = capsys.readouterr()
+        assert forked == ([3] if parallel else [])
+        assert multiprocessing.active_children() == []
+        return code, captured.out.replace(str(out), "OUT"), captured.err
+
+    def test_parallel_and_serial_write_the_same_bytes(self, monkeypatch, capsys, tmp_path):
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        code_serial, stdout_serial, _ = self._repro(monkeypatch, capsys, serial, False)
+        code_parallel, stdout_parallel, _ = self._repro(monkeypatch, capsys, parallel, True)
+        assert code_serial == code_parallel == 0 and stdout_parallel == stdout_serial
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in parallel.iterdir()) and len(names) == 29
+        for name in names:
+            if name != "run.log":
+                assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
+
+        def stages(out):  # each run.log line but its duration
+            return [ln.split(" ", 2)[::2] for ln in (out / "run.log").read_text().splitlines()]
+
+        assert stages(parallel) == stages(serial)
+        assert [stage for stage, _ in stages(serial)] == [
+            "stage=synth", "stage=encode", "stage=split",
+            "stage=train_nn2", "stage=eval_nn2", "stage=train_nn4", "stage=eval_nn4",
+            "stage=train_nn8", "stage=eval_nn8",
+        ]
+
+    @pytest.mark.parametrize(
+        "error,code,prefix",
+        [(TrainError("planted fault"), 1, "pipeline error: TrainError: planted fault"),
+         (StageInputMissing("planted fault"), 3, "missing stage input: planted fault")],
+        ids=["TrainError", "StageInputMissing"],
+    )
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_failed_arch_exit_code(self, monkeypatch, capsys, tmp_path, parallel, error, code, prefix):
+        monkeypatch.setattr(cli, "_train_arch", _fail_nn4_with(_raise(error)))
+        got, _, err = self._repro(monkeypatch, capsys, tmp_path, parallel)
+        assert got == code
+        assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+    def test_child_that_exits_is_a_train_error(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "_train_arch", _fail_nn4_with(lambda: os._exit(1)))
+        code, _, err = self._repro(monkeypatch, capsys, tmp_path, True)
+        assert code == 1
+        assert err.startswith("pipeline error: TrainError:") and len(err.splitlines()) == 1
+
+    def test_parent_fault_stops_every_child(self, monkeypatch, tmp_path):
+        def recv(conn):
+            raise RuntimeError("planted fault")
+
+        force_fan_out(monkeypatch, True)
+        monkeypatch.setattr(Connection, "recv", recv)
+        with pytest.raises(RuntimeError, match="planted fault"):
+            run("repro", "--out-dir", tmp_path, *self.ARGV)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cpus,openblas,omp,parallel",
+        [
+            (1, "1", None, False),
+            (2, None, None, False),
+            (2, "2", None, False),
+            (2, "2", "1", False),
+            (2, "1", None, True),
+            (2, None, "1", True),
+        ],
+    )
+    def test_guard(self, monkeypatch, cpus, openblas, omp, parallel):
+        force_cpus_and_blas(monkeypatch, cpus, openblas, omp)
+        assert cli._fan_out() is parallel
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -224,7 +224,7 @@ def force_workers(monkeypatch, workers):
     """Make ``generate`` cut any cohort of at least ``workers`` patients into
     ``workers`` ranges, whatever the number of CPUs here (1: a serial draw)."""
     monkeypatch.setattr(synth, "MIN_PATIENTS_PER_WORKER", 1)
-    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
 
 
 # A forked child appends to its own copy of ``_parent_ranges``, so the list
