@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from functools import partial
@@ -104,15 +103,16 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _load_dataset(out: Path) -> encode.EncodedDataset:
+    files = {"features.hdr": "encoded header", "features.f64": "encoded matrix", "meta.tsv": "row metadata"}
+    return encode.load_dataset(*(_require(out / name, what) for name, what in files.items()))
+
+
 def cmd_split(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    ds = encode.load_dataset(
-        _require(out / "features.hdr", "encoded header"),
-        _require(out / "features.f64", "encoded matrix"),
-        _require(out / "meta.tsv", "row metadata"),
-    )
+    ds = _load_dataset(out)
     sp = resample.split(ds.n_rows, args.fraction, args.seed + 1)
     resample.save_indices(sp.first, sp.seed, out / "pretrain.idx")
     resample.save_indices(sp.second, sp.seed, out / "test.idx")
@@ -144,11 +144,7 @@ def _load_index(path: Path, what: str, n_rows: int) -> np.ndarray:
 
 def _load_dataset_and_stats(out: Path):
     """The encoded matrix and the normalization stats, checked to name the same columns."""
-    ds = encode.load_dataset(
-        _require(out / "features.hdr", "encoded header"),
-        _require(out / "features.f64", "encoded matrix"),
-        _require(out / "meta.tsv", "row metadata"),
-    )
+    ds = _load_dataset(out)
     stats = encode.load_stats(_require(out / "stats.tsv", "stats file"))
     if stats.column_names != ds.column_names:
         pairs = zip(stats.column_names, ds.column_names)
@@ -201,11 +197,8 @@ def _train_arch(args, out: Path, inputs, arch: str, started: float) -> tuple[str
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
     t0 = time.time()
-    arch = args.arch.lower()
-    if arch not in ARCH_INDEX:
-        raise ConfigError(f"unknown --arch {args.arch!r}")
-    _train_config(args, arch)
-    _report(out, [_train_arch(args, out, _train_inputs(out, *_load_dataset_and_stats(out)), arch, t0)])
+    _train_config(args, args.arch)
+    _report(out, [_train_arch(args, out, _train_inputs(out, *_load_dataset_and_stats(out)), args.arch, t0)])
     return 0
 
 
@@ -248,7 +241,7 @@ def _eval_arch(args, out: Path, inputs, arch: str, started: float) -> tuple[str,
 def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     t0 = time.time()
-    _report(out, [_eval_arch(args, out, _eval_inputs(out, *_load_dataset_and_stats(out)), args.arch.lower(), t0)])
+    _report(out, [_eval_arch(args, out, _eval_inputs(out, *_load_dataset_and_stats(out)), args.arch, t0)])
     return 0
 
 
@@ -257,17 +250,9 @@ def _train_and_eval(args, out: Path, train_inputs, eval_inputs, arch: str) -> li
     return [trained, _eval_arch(args, out, eval_inputs, arch, time.time())]
 
 
-def _fan_out() -> bool:
-    """Whether repro trains its archs at once, one forked child each: only where
-    each child can keep to one CPU.  On 2 CPUs, children with two BLAS threads
-    each took repro at 10,000 patients to 5.0-8.4 s, against 3.1-3.3 s serially."""
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    return blas_threads == "1" and workers.usable_cpus() > 1
-
-
 def cmd_repro(args) -> int:
-    """Run every stage for nn2, nn4, nn8 and emit one combined report; the
-    archs share inputs loaded once, and with ``_fan_out`` run in forked children."""
+    """Run every stage for nn2, nn4, nn8 and emit one combined report.  The archs share inputs
+    loaded once, and run in forked children where BLAS is on one thread and 2+ CPUs are usable."""
     out = Path(args.out_dir)
     # check every flag before the first stage runs, with split's, train's and eval's own checks
     resample.check_fraction(args.fraction)
@@ -284,7 +269,7 @@ def cmd_repro(args) -> int:
     inputs = (_train_inputs(out, ds, stats), _eval_inputs(out, ds, stats))
     del ds  # the archs need only the standardised sets and the test rows
     calls = [partial(_train_and_eval, args, out, *inputs, arch) for arch in ARCH_INDEX]
-    if _fan_out():
+    if workers.one_blas_thread() and workers.usable_cpus() > 1:
         outputs = workers.run_forked(calls, training.TrainError("a worker exited before sending its results"))
     else:
         outputs = (call() for call in calls)
@@ -420,6 +405,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    workers.one_blas_thread()
     try:
         if args.config:
             _apply_config(parser, args, argv)

@@ -1,8 +1,22 @@
-"""Calls run in forked children, which share this process's pages copy-on-write:
-their inputs need no pickling, and only a result or an exception comes back."""
+"""Calls run in forked children, which share this process's pages copy-on-write (their inputs
+need no pickling; only a result or an exception comes back), and BLAS kept to one thread."""
 
+import ctypes
 import multiprocessing
 import os
+
+import numpy as np
+
+
+def one_blas_thread() -> bool:
+    """Run numpy's BLAS on one thread, so its products have the same bits
+    whatever the environment sets; False where numpy's BLAS lacks the setter."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym here also searches the OpenBLAS it links
+    try:
+        ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", lib))(1)
+    except AttributeError:
+        return False
+    return True
 
 
 def usable_cpus() -> int:

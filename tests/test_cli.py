@@ -1,3 +1,5 @@
+import ctypes
+import hashlib
 import multiprocessing
 import os
 import shutil
@@ -15,6 +17,9 @@ from edrisk.encode import load_dataset, load_stats
 from edrisk.mlp import load_model, save_model
 from edrisk.resample import load_indices
 from edrisk.train import TrainError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -424,19 +429,15 @@ class TestRepro:
         assert not (tmp_path / "cohort.csv").exists()
 
 
-def force_cpus_and_blas(monkeypatch, cpus, openblas=None, omp=None):
-    """Make ``repro`` see ``cpus`` usable CPUs and the given BLAS thread
-    variables (None: unset), whatever this machine has."""
+def force_cpus_and_blas(monkeypatch, cpus, pinned):
+    """Make ``repro`` see ``cpus`` usable CPUs and ``one_blas_thread`` return
+    ``pinned``, whatever this machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(workers, "one_blas_thread", lambda: pinned)
 
 
 def force_fan_out(monkeypatch, parallel):
-    force_cpus_and_blas(monkeypatch, 2 if parallel else 1, openblas="1")
+    force_cpus_and_blas(monkeypatch, 2 if parallel else 1, pinned=True)
 
 
 _real_train_arch = cli._train_arch
@@ -460,13 +461,19 @@ def _raise(error):
 
 
 class TestReproFanOut:
-    """``repro`` trains its archs in forked children only where the guard
-    allows, and either path gives the same files, stdout and exit codes."""
+    """``repro`` trains its archs in forked children only where BLAS is pinned
+    and CPUs are spare, and either path gives the same files, stdout and exit codes."""
 
     ARGV = ("--patients", 300, "--seed", 4, "--steps", 60, "--batch-size", 64)
 
     def _repro(self, monkeypatch, capsys, out, parallel):
         force_fan_out(monkeypatch, parallel)
+        code, stdout, err, forked = self._run(monkeypatch, capsys, out)
+        assert forked is parallel
+        return code, stdout, err
+
+    def _run(self, monkeypatch, capsys, out):
+        """repro's exit code, stdout and stderr, and whether it forked its archs."""
         forked = []
 
         def run_forked(calls, died):
@@ -476,9 +483,9 @@ class TestReproFanOut:
         monkeypatch.setattr(workers, "run_forked", run_forked)
         code = run("repro", "--out-dir", out, *self.ARGV)
         captured = capsys.readouterr()
-        assert forked == ([3] if parallel else [])
+        assert forked in ([], [3])
         assert multiprocessing.active_children() == []
-        return code, captured.out.replace(str(out), "OUT"), captured.err
+        return code, captured.out.replace(str(out), "OUT"), captured.err, forked == [3]
 
     def test_parallel_and_serial_write_the_same_bytes(self, monkeypatch, capsys, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -530,27 +537,49 @@ class TestReproFanOut:
             run("repro", "--out-dir", tmp_path, *self.ARGV)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize(
-        "cpus,openblas,omp,parallel",
-        [
-            (1, "1", None, False),
-            (2, None, None, False),
-            (2, "2", None, False),
-            (2, "2", "1", False),
-            (2, "1", None, True),
-            (2, None, "1", True),
-        ],
-    )
-    def test_guard(self, monkeypatch, cpus, openblas, omp, parallel):
-        force_cpus_and_blas(monkeypatch, cpus, openblas, omp)
-        assert cli._fan_out() is parallel
+    @pytest.mark.parametrize("cpus,pinned,parallel", [(1, True, False), (2, True, True), (2, False, False)])
+    def test_guard(self, monkeypatch, capsys, tmp_path, cpus, pinned, parallel):
+        force_cpus_and_blas(monkeypatch, cpus, pinned)
+        code, _, _, forked = self._run(monkeypatch, capsys, tmp_path)
+        assert code == 0 and forked is parallel
+
+
+class TestOneBlasThread:
+    def test_pins_numpys_openblas(self):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy's BLAS is not the bundled scipy-openblas")
+        lib.scipy_openblas_set_num_threads64_(2)
+        assert workers.one_blas_thread() is True
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+
+    def test_false_without_the_setter(self, monkeypatch):
+        cdll = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: cdll(None))  # the interpreter, which has no BLAS
+        assert workers.one_blas_thread() is False
+
+    def test_repro_bytes_ignore_blas_thread_variables(self, tmp_path):
+        """Models and training logs have the same bytes with OPENBLAS_NUM_THREADS
+        unset, 1 and 2, though only 1 keeps OpenBLAS to one thread by itself."""
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        hashes = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            subprocess.run(
+                [sys.executable, "-m", "edrisk.cli", "repro", "--out-dir", out, "--patients", "300", "--steps", "60"],
+                env={**env, "PYTHONPATH": str(SRC), **({"OPENBLAS_NUM_THREADS": threads} if threads else {})},
+                capture_output=True,
+                check=True,
+            )
+            files = sorted(out.glob("model_*.mlp")) + sorted(out.glob("trainlog_*.tsv"))
+            hashes.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files})
+        assert len(hashes[0]) == 6 and hashes[1] == hashes[0] and hashes[2] == hashes[0]
 
 
 def test_importing_the_cli_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-c", "import edrisk.cli, sys; print('scipy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
