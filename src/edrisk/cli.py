@@ -97,14 +97,14 @@ def cmd_encode(args) -> int:
     spec = schema.CategoricalSpec.load(_require(Path(args.spec), "categorical spec"))
     cohort = schema.parse_visits(_require(Path(args.cohort), "cohort file"), spec)
     ds = encode.encode_cohort(cohort, spec)
-    encode.save_dataset(ds, out / "features.hdr", out / "features.f64", out / "meta.tsv")
+    encode.save_dataset(ds, out / "features.hdr", out / "features.f32", out / "meta.tsv")
     text = f"encode: {ds.n_rows} rows x {ds.raw_width} columns\n"
-    _report(out, [(text, _stage_line("encode", t0, [out / "features.hdr", out / "features.f64"]))])
+    _report(out, [(text, _stage_line("encode", t0, [out / "features.hdr", out / "features.f32"]))])
     return 0
 
 
 def _load_dataset(out: Path) -> encode.EncodedDataset:
-    files = {"features.hdr": "encoded header", "features.f64": "encoded matrix", "meta.tsv": "row metadata"}
+    files = {"features.hdr": "encoded header", "features.f32": "encoded matrix", "meta.tsv": "row metadata"}
     return encode.load_dataset(*(_require(out / name, what) for name, what in files.items()))
 
 
@@ -157,15 +157,15 @@ def _load_dataset_and_stats(out: Path):
 
 
 def _train_inputs(out: Path, ds, stats):
-    """The retained width and the standardised (features, labels) train and validation sets."""
+    """The retained width, the standardised pretrain (features, labels), and
+    the train and validation rows into it."""
     pre = _load_index(out / "pretrain.idx", "pretrain indices", ds.n_rows)
     plan = _load_index(out / "bootstrap.idx", "bootstrap plan", len(pre))
     tr = _load_index(out / "train.idx", "train indices", len(plan))
     val = _load_index(out / "val.idx", "validation indices", len(plan))
-    # each set is standardised straight from the raw matrix; standardising
-    # is element-wise, so this equals standardising first and gathering after
-    rows = pre[plan]
-    return stats.p, [(encode.apply_stats(ds.features, stats, r), ds.labels[r]) for r in (rows[tr], rows[val])]
+    # the bootstrap rows repeat pretrain rows, so each pretrain row is
+    # standardised once and both sets index it
+    return stats.p, (encode.apply_stats(ds.features, stats, pre), ds.labels[pre]), plan[tr], plan[val]
 
 
 def _train_config(args, arch: str) -> training.TrainConfig:
@@ -181,9 +181,9 @@ def _train_config(args, arch: str) -> training.TrainConfig:
 
 def _train_arch(args, out: Path, inputs, arch: str, started: float) -> tuple[str, str]:
     """Train ``arch`` on ``_train_inputs``; its stdout text and run.log line."""
-    p, (train_set, val_set) = inputs
+    p, pretrain, train_rows, val_rows = inputs
     model = mlp.init(mlp.Architecture.named(arch), p, seed=args.seed + 10 + ARCH_INDEX[arch])
-    model, log, reason = training.train(model, train_set, val_set, _train_config(args, arch))
+    model, log, reason = training.train(model, pretrain, pretrain, _train_config(args, arch), train_rows, val_rows)
     mlp.save_model(model, out / f"model_{arch}.mlp")
     log.save(out / f"trainlog_{arch}.tsv")
     last = log.entries[-1]
@@ -267,7 +267,7 @@ def cmd_repro(args) -> int:
     cmd_split(args)
     ds, stats = _load_dataset_and_stats(out)
     inputs = (_train_inputs(out, ds, stats), _eval_inputs(out, ds, stats))
-    del ds  # the archs need only the standardised sets and the test rows
+    del ds  # the archs need only the standardised pretrain rows and the test rows
     calls = [partial(_train_and_eval, args, out, *inputs, arch) for arch in ARCH_INDEX]
     if workers.one_blas_thread() and workers.usable_cpus() > 1:
         outputs = workers.run_forked(calls, training.TrainError("a worker exited before sending its results"))

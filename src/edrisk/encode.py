@@ -9,16 +9,16 @@ visit count once (set semantics), repeats across visits accumulate.
 ``encode_cohort`` works on whole columns: the one-hot blocks and the
 per-visit code indicators are set by fancy indexing, and the diagnosis
 block is the indicators summed in place by ``Cohort.accumulate``, a
-cumulative sum in (patient_id, visit_seq) order.  Every entry is a small integer, so the
-sums are exact.
+cumulative sum in (patient_id, visit_seq) order.  The matrix is float32, every entry an integer
+within +-2**24 (``EncodeError`` beyond), which float32 holds exactly, so the sums are exact.
 
 Normalization stats (per-column mean, population variance, zero-variance
 drop mask) are fit on training rows only and reapplied verbatim to test
 rows.  ``fit_stats`` and ``apply_stats`` take the raw matrix and an
-optional ``rows`` index, and walk those rows ``BLOCK_ROWS`` at a time, so
-no temporary is as large as the rows they cover.  Column sums run row by
-row in order, as numpy reduces a C-contiguous matrix over axis 0, so the
-stats are bit-identical to ``X[rows].mean(axis=0)`` and ``.var(axis=0)``.
+optional ``rows`` index, and walk those rows ``BLOCK_ROWS`` at a time in float64,
+so no temporary is as large as the rows they cover.  Column sums run row by
+row in order, as numpy reduces a C-contiguous matrix over axis 0, so the stats
+are bit for bit the float64 ``X[rows].mean(axis=0)`` and ``.var(axis=0)``.
 A non-finite stat or standardised value raises ``EncodeError``.
 """
 
@@ -72,7 +72,7 @@ def feature_names(spec: CategoricalSpec) -> list[str]:
 
 @dataclass
 class EncodedDataset:
-    features: np.ndarray  # (visits, raw_width), pre-normalization
+    features: np.ndarray  # (visits, raw_width) float32, raw integer values before standardisation
     labels: np.ndarray  # (visits,), {0,1}
     patient_ids: list[str]
     visit_counts: np.ndarray  # (visits,), 1-based count including the row
@@ -113,7 +113,14 @@ def encode_cohort(c: Cohort, spec: CategoricalSpec | None = None) -> EncodedData
         raise EncodeError("the spec differs from the one the cohort's level indices refer to")
     spec = c.spec
     n = len(c)
-    X = np.zeros((n, raw_width(spec)))
+    counts = c.visit_seq + 1
+    fields = np.column_stack([c.numeric, counts])
+    big = np.argwhere((fields > 1 << 24) | (fields < -(1 << 24)))  # float32 holds every integer up to 2**24
+    if big.size:
+        i, j = big[0]
+        raise EncodeError(f"cohort row {i}: {(NUMERIC_FIELDS + ['visit_count'])[j]} {fields[i, j]} is beyond "
+                          "+-2**24, which float32 features cannot hold exactly")
+    X = np.zeros((n, raw_width(spec)), dtype=np.float32)
     X[:, :N_NUM] = c.numeric
     widths = [spec.width(name) for name in CATEGORICAL_FIELDS]
     block_start = N_NUM + np.cumsum([0] + widths[:-1])
@@ -123,7 +130,6 @@ def encode_cohort(c: Cohort, spec: CategoricalSpec | None = None) -> EncodedData
     # each visit's own codes first; a code listed twice sets its entry to 1.0 twice
     history[np.nonzero(c.ccs_present)[0], _CCS_COLUMN[c.ccs[c.ccs_present]]] = 1.0
     c.accumulate(history)
-    counts = c.visit_seq + 1
     X[:, -1] = counts
     return EncodedDataset(
         features=X,
@@ -152,10 +158,10 @@ class FeatureStats:
 
 
 def _row_blocks(X: np.ndarray, rows):
-    """(start, block) over ``X``, or over ``X[rows]`` gathered a block at a time."""
+    """(start, float64 block) over ``X``, or over ``X[rows]`` gathered a block at a time."""
     n = len(X) if rows is None else len(rows)
     for i in range(0, n, BLOCK_ROWS):
-        yield i, X[i : i + BLOCK_ROWS] if rows is None else X[rows[i : i + BLOCK_ROWS]]
+        yield i, (X[i : i + BLOCK_ROWS] if rows is None else X[rows[i : i + BLOCK_ROWS]]).astype(np.float64, copy=False)
 
 
 def _column_sums(X: np.ndarray, rows, shift=None) -> np.ndarray:
@@ -178,8 +184,8 @@ def fit_stats(
     train_features: np.ndarray, column_names: list[str] | None = None, rows: np.ndarray | None = None
 ) -> FeatureStats:
     """Column means and population variances over ``rows`` (all when None), bit
-    for bit ``X[rows].mean(axis=0)`` and ``X[rows].var(axis=0)``."""
-    X = np.asarray(train_features, dtype=np.float64)
+    for bit the float64 ``X[rows].mean(axis=0)`` and ``X[rows].var(axis=0)``."""
+    X = np.asarray(train_features)
     n = len(X) if rows is None else len(rows)
     if n < 2:
         raise TooFewRows(f"need at least 2 rows to fit stats, got {n}")
@@ -199,7 +205,7 @@ def fit_stats(
 def apply_stats(features: np.ndarray, stats: FeatureStats, rows: np.ndarray | None = None) -> np.ndarray:
     """Standardize ``X[rows]`` (all rows when None) with training-set stats
     and drop zero-variance columns."""
-    X = np.asarray(features, dtype=np.float64)
+    X = np.asarray(features)
     if X.shape[1] != stats.width:
         raise WidthMismatch(f"matrix has {X.shape[1]} columns, stats expect {stats.width}")
     cols = np.flatnonzero(stats.retained)
@@ -271,12 +277,12 @@ def load_stats(path) -> FeatureStats:
 
 def save_dataset(ds: EncodedDataset, header_path, matrix_path, meta_path):
     """Header: text (rows, width, column names).  Matrix: row-major
-    little-endian float64.  Meta: per-row patient_id, visit_count, label."""
+    little-endian float32.  Meta: per-row patient_id, visit_count, label."""
     with open(header_path, "w", encoding="utf-8") as f:
         f.write(f"rows={ds.n_rows}\n")
         f.write(f"raw_width={ds.raw_width}\n")
         f.write("columns=" + ",".join(ds.column_names) + "\n")
-    np.ascontiguousarray(ds.features, dtype="<f8").tofile(matrix_path)  # no copy of a C-ordered float64 matrix
+    np.ascontiguousarray(ds.features, dtype="<f4").tofile(matrix_path)  # no copy of a C-ordered float32 matrix
     with open(meta_path, "w", encoding="utf-8") as f:
         f.write("patient_id\tvisit_count\tlabel\n")
         for pid, vc, y in zip(ds.patient_ids, ds.visit_counts, ds.labels):
@@ -305,10 +311,10 @@ def load_dataset(header_path, matrix_path, meta_path) -> EncodedDataset:
         raise EncodeError(f"{header_path}: negative rows={rows} or raw_width={width}")
     if len(columns) != width:
         raise EncodeError(f"{header_path}: {len(columns)} column names for raw_width={width}")
-    X = np.fromfile(matrix_path, dtype="<f8")
-    if X.size != rows * width:
-        raise EncodeError(f"{matrix_path}: expected {rows * width} values, found {X.size}")
-    X = X.reshape(rows, width)
+    X = np.fromfile(matrix_path, dtype=np.uint8)
+    if X.size != rows * width * 4:
+        raise EncodeError(f"{matrix_path}: {X.size} bytes, expected {rows * width * 4} for {rows} x {width} float32 values")
+    X = X.view("<f4").reshape(rows, width)
     pids, counts, labels = [], [], []
     with open(meta_path, encoding="utf-8") as f:
         try:

@@ -35,6 +35,10 @@ class DivergenceDetected(TrainError):
     pass
 
 
+class RowsOutOfRange(TrainError):
+    pass
+
+
 @dataclass
 class TrainConfig:
     optimizer: str = "sgd_momentum"  # "sgd" or "sgd_momentum"
@@ -156,24 +160,39 @@ def _validation_metrics(model, X_val, y_val, threshold=0.5):
     return (c.tp + c.tn) / len(y_val), nan if sens is None else sens, nan if spec is None else spec
 
 
+def _check_rows(rows, n: int, what: str) -> np.ndarray:
+    """``rows`` (all ``n`` when None) as an index array, checked to address a set of ``n`` rows."""
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.size == 0:
+        raise EmptySet(f"the {what} set is empty")
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+        raise RowsOutOfRange(f"{what} rows must be integers in [0, {n}) in one dimension")
+    return rows
+
+
 def train(
     model: MLPModel,
     train_set: tuple[np.ndarray, np.ndarray],
     val_set: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
+    train_rows: np.ndarray | None = None,
+    val_rows: np.ndarray | None = None,
 ) -> tuple[MLPModel, TrainLog, str]:
     """Minibatch SGD with shuffled epochs.  Evaluates validation metrics every
     eval_every steps (default: once per epoch) and stops after `patience`
     consecutive evaluations without a min_delta improvement in balanced
     accuracy; the returned model is the best-validation checkpoint.  The
     logged train_loss is the row-weighted mean of the minibatch losses
-    since the previous evaluation (see LogEntry)."""
+    since the previous evaluation (see LogEntry).  Training on rows of the sets
+    (``train_rows``, ``val_rows``) equals training on the gathered rows."""
     X_tr, y_tr = _check_batch(model, *train_set)
     X_val, y_val = _check_batch(model, *val_set)
-    if X_tr.shape[0] == 0 or X_val.shape[0] == 0:
-        raise EmptySet("train and validation sets must be non-empty")
+    train_rows = _check_rows(train_rows, len(X_tr), "train")
+    rows = _check_rows(val_rows, len(X_val), "validation")
+    if val_rows is not None:  # gathered once; a set given without rows is not copied
+        X_val, y_val = X_val[rows], y_val[rows]
 
-    n = X_tr.shape[0]
+    n = len(train_rows)
     steps_per_epoch = max(1, int(np.ceil(n / cfg.batch_size)))
     eval_every = cfg.eval_every if cfg.eval_every > 0 else steps_per_epoch
 
@@ -194,7 +213,7 @@ def train(
     while not done:
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+            batch = train_rows[order[start : start + cfg.batch_size]]
             g, batch_loss = grad(model, X_tr[batch], y_tr[batch])
             seen_loss += batch_loss * len(batch)
             seen_rows += len(batch)

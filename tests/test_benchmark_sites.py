@@ -1,8 +1,8 @@
 """The benchmark's tracer swaps named attributes of ``edrisk`` modules for
 span-recording wrappers.  Every one of them must exist, so that a refactor
 which drops or renames a traced name fails here, and not only in a
-``perfbench/run.py --trace 1`` run.  The workloads that call the stats
-passes also run here at their smoke sizes."""
+``perfbench/run.py --trace 1`` run.  Every workload also runs here at its
+smoke size, so a change to a signature or a stage file it reads fails here."""
 
 import importlib.util
 import sys
@@ -36,7 +36,7 @@ def _load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["cohort_build", "train_b4096"])
+@pytest.mark.parametrize("name", ["cohort_build", "train_b4096", "repro"])
 def test_smoke_workload_passes_its_checks(monkeypatch, tmp_path, name):
     # perfbench calls the pipeline's functions positionally; a changed
     # signature shows here and not only in a benchmark run

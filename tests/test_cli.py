@@ -16,6 +16,7 @@ from edrisk.cli import StageInputMissing, main
 from edrisk.encode import load_dataset, load_stats
 from edrisk.mlp import load_model, save_model
 from edrisk.resample import load_indices
+from edrisk.schema import NUMERIC_FIELDS
 from edrisk.train import TrainError
 
 
@@ -44,7 +45,7 @@ class TestStages:
 
     def test_full_stage_chain(self, tmp_path):
         stage_through_split(tmp_path)
-        ds = load_dataset(tmp_path / "features.hdr", tmp_path / "features.f64", tmp_path / "meta.tsv")
+        ds = load_dataset(tmp_path / "features.hdr", tmp_path / "features.f32", tmp_path / "meta.tsv")
         stats = load_stats(tmp_path / "stats.tsv")
         pre, _ = load_indices(tmp_path / "pretrain.idx")
         test, _ = load_indices(tmp_path / "test.idx")
@@ -67,9 +68,30 @@ class TestStages:
         args = ("encode", "--out-dir", tmp_path,
                 "--cohort", tmp_path / "cohort.csv", "--spec", tmp_path / "spec.txt")
         assert run(*args) == 0
-        first = (tmp_path / "features.f64").read_bytes()
+        first = (tmp_path / "features.f32").read_bytes()
         assert run(*args) == 0
-        assert (tmp_path / "features.f64").read_bytes() == first
+        assert (tmp_path / "features.f32").read_bytes() == first
+
+    @pytest.mark.parametrize("zip_code", [1 << 24, (1 << 24) + 1])
+    def test_zip_code_at_the_float32_limit(self, tmp_path, capsys, zip_code):
+        # float32 holds every integer up to 2**24 exactly, and encode refuses the first one past it
+        assert run("synth", "--out-dir", tmp_path, "--patients", 30, "--seed", 4) == 0
+        cohort = tmp_path / "cohort.csv"
+        lines = cohort.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[lines[0].split(",").index("zip_code")] = str(zip_code)
+        cohort.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+        capsys.readouterr()
+        code = run("encode", "--out-dir", tmp_path, "--cohort", cohort, "--spec", tmp_path / "spec.txt")
+        if zip_code > 1 << 24:
+            err = capsys.readouterr().err
+            assert code == 1 and len(err.splitlines()) == 1
+            assert f"EncodeError: cohort row 2: zip_code {zip_code} " in err
+            assert not (tmp_path / "features.f32").exists()
+        else:
+            assert code == 0
+            ds = load_dataset(tmp_path / "features.hdr", tmp_path / "features.f32", tmp_path / "meta.tsv")
+            assert int(ds.features[2, NUMERIC_FIELDS.index("zip_code")]) == zip_code
 
     def test_custom_eval_filters(self, tmp_path):
         stage_through_split(tmp_path)
@@ -227,10 +249,15 @@ class TestStageFiles:
     def _poke_feature(self, out, index_file, value):
         """Set one retained raw feature of the first row named by ``index_file``."""
         rows, _ = load_indices(out / index_file)
-        X = np.fromfile(out / "features.f64", dtype="<f8").reshape(-1, 435)
+        X = np.fromfile(out / "features.f32", dtype="<f4").reshape(-1, 435)
         X[rows[0], 0] = value  # column 0, year, is retained
-        X.tofile(out / "features.f64")
+        X.tofile(out / "features.f32")
         return rows[0]
+
+    def test_stale_float64_matrix_exit_3(self, trained_copy, capsys):
+        (trained_copy / "features.f32").rename(trained_copy / "features.f64")
+        assert run("split", "--out-dir", trained_copy, "--seed", 3) == 3
+        assert "encoded matrix not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_pretrain_feature_exit_1(self, trained_copy, capsys, value):
@@ -408,6 +435,18 @@ class TestRepro:
         models = {ln.split("\t")[0] for ln in tsv[1:]}
         assert models == {"nn2", "nn4", "nn8"}
         assert (tmp_path / "report.txt").exists()
+
+    def test_standalone_train_and_eval_equal_repro(self, tmp_path):
+        argv = ("--seed", 5, "--steps", 60, "--batch-size", 64)
+        alone, repro = tmp_path / "alone", tmp_path / "repro"
+        assert run("synth", "--out-dir", alone, "--patients", 300, "--seed", 5) == 0
+        assert run("encode", "--out-dir", alone, "--cohort", alone / "cohort.csv", "--spec", alone / "spec.txt") == 0
+        assert run("split", "--out-dir", alone, "--seed", 5) == 0
+        assert run("train", "--out-dir", alone, "--arch", "nn4", *argv) == 0
+        assert run("eval", "--out-dir", alone, "--arch", "nn4", "--seed", 5) == 0
+        assert run("repro", "--out-dir", repro, "--patients", 300, *argv) == 0
+        for name in ("model_nn4.mlp", "trainlog_nn4.tsv", "report_nn4.tsv"):
+            assert (alone / name).read_bytes() == (repro / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "flag,value,code,message",

@@ -213,6 +213,24 @@ class TestEncodeCohort:
         assert ds.n_rows == 0
         assert ds.features.shape == (0, WIDTH)
 
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS[:1] + NUMERIC_FIELDS[2:] + ["visit_count"])
+    def test_value_past_float32_exact_range_rejected(self, field):
+        limit = 1 << 24
+
+        def encode(value):
+            rec = make_record("B", value - 1) if field == "visit_count" else make_record("B", **{field: value})
+            return encode_cohort(to_cohort([make_record("A"), rec]), SPEC)
+
+        column = WIDTH - 1 if field == "visit_count" else NUMERIC_FIELDS.index(field)
+        fine, bad = ([limit], [limit + 1]) if field == "visit_count" else (
+            [limit, -limit], [limit + 1, -limit - 1, np.iinfo(np.int64).min])
+        for value in fine:
+            X = encode(value).features
+            assert X.dtype == np.float32 and int(X[1, column]) == value
+        for value in bad:
+            with pytest.raises(EncodeError, match=f"cohort row 1: {field} {value} is beyond"):
+                encode(value)
+
 
 def _rewrite(path, mutate):
     path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
@@ -415,6 +433,22 @@ class TestBlockedStats:
         X[BLOCK_ROWS + 1, 2] = 0.0
         assert np.isfinite(apply_stats(X, stats)).all()
 
+    @pytest.mark.parametrize("repeats", [False, True], ids=["all-rows", "rows-with-repeats"])
+    def test_float32_matrix_bit_identical_to_its_float64_copy(self, repeats):
+        X32 = self.matrix(3 * BLOCK_ROWS + 5, seed=44).astype(np.float32)
+        X64 = X32.astype(np.float64)
+        rows = np.random.default_rng(45).integers(0, len(X32), size=2 * BLOCK_ROWS + 7) if repeats else None
+        a, b = fit_stats(X32, None, rows), fit_stats(X64, None, rows)
+        assert a.means.tobytes() == b.means.tobytes() and a.variances.tobytes() == b.variances.tobytes()
+        Z = apply_stats(X32, a, rows)
+        assert Z.dtype == np.float64 and Z.tobytes() == apply_stats(X64, b, rows).tobytes()
+
+    def test_float32_matrix_is_not_converted_whole(self):
+        X = np.random.default_rng(46).integers(0, 4, size=(20_000, WIDTH)).astype(np.float32)
+        stats = fit_stats(X)
+        assert _traced_peak(lambda: fit_stats(X)) < 4 * (1 << 20)
+        assert _traced_peak(lambda: apply_stats(X, stats)) < len(X) * stats.p * 8 + 4 * (1 << 20)
+
     def test_no_temporary_as_large_as_the_rows(self):
         rng = np.random.default_rng(43)
         X = rng.integers(0, 4, size=(20_000, WIDTH)) * rng.uniform(0.5, 2.0, size=WIDTH)
@@ -430,9 +464,11 @@ class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         ds = encode_cohort(to_cohort(random_records(rng, 15)), SPEC)
-        paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
+        paths = (tmp_path / "d.hdr", tmp_path / "d.f32", tmp_path / "d.meta")
         save_dataset(ds, *paths)
+        assert paths[1].stat().st_size == ds.n_rows * WIDTH * 4
         loaded = load_dataset(*paths)
+        assert ds.features.dtype == loaded.features.dtype == np.float32
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         np.testing.assert_array_equal(loaded.visit_counts, ds.visit_counts)
@@ -442,12 +478,13 @@ class TestDatasetIO:
     def test_truncated_matrix_rejected(self, tmp_path):
         rng = np.random.default_rng(32)
         ds = encode_cohort(to_cohort(random_records(rng, 5)), SPEC)
-        paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
+        paths = (tmp_path / "d.hdr", tmp_path / "d.f32", tmp_path / "d.meta")
         save_dataset(ds, *paths)
         data = paths[1].read_bytes()
-        paths[1].write_bytes(data[:-8])
-        with pytest.raises(Exception):
-            load_dataset(*paths)
+        for cut in (data[:-4], data[:-1], data + b"\0"):
+            paths[1].write_bytes(cut)
+            with pytest.raises(EncodeError, match=f"expected {len(data)} for {ds.n_rows} x {WIDTH} float32 values"):
+                load_dataset(*paths)
 
     @pytest.mark.parametrize(
         "which,mutate,message",
@@ -480,7 +517,7 @@ class TestDatasetIO:
     )
     def test_malformed_header_or_meta_rejected(self, tmp_path, which, mutate, message):
         rng = np.random.default_rng(34)
-        paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
+        paths = (tmp_path / "d.hdr", tmp_path / "d.f32", tmp_path / "d.meta")
         save_dataset(encode_cohort(to_cohort(random_records(rng, 5)), SPEC), *paths)
         _rewrite(paths[which], mutate)
         with pytest.raises(EncodeError, match=message):
@@ -489,7 +526,7 @@ class TestDatasetIO:
     @pytest.mark.parametrize("which", [0, 2], ids=["header", "meta"])
     def test_non_utf8_rejected(self, tmp_path, which):
         rng = np.random.default_rng(35)
-        paths = (tmp_path / "d.hdr", tmp_path / "d.f64", tmp_path / "d.meta")
+        paths = (tmp_path / "d.hdr", tmp_path / "d.f32", tmp_path / "d.meta")
         save_dataset(encode_cohort(to_cohort(random_records(rng, 5)), SPEC), *paths)
         paths[which].write_bytes(paths[which].read_bytes() + b"\xff\xfe\n")
         with pytest.raises(EncodeError, match="UTF-8"):

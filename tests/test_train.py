@@ -8,6 +8,7 @@ from edrisk.train import (
     DivergenceDetected,
     EmptySet,
     LogEntry,
+    RowsOutOfRange,
     TrainConfig,
     TrainError,
     TrainLog,
@@ -409,6 +410,41 @@ class TestTrain:
         assert _val_columns(log) == _val_columns(ref_log)
         for entry, seen in zip(log.entries, batch_losses):
             assert entry.train_loss == sum(l * k for l, k in seen) / sum(k for _, k in seen)
+
+    @pytest.mark.parametrize(
+        "arch,optimizer,min_delta",
+        [("nn2", "sgd_momentum", 0.0), ("nn8", "sgd", 0.0), ("nn2", "sgd_momentum", float("inf"))],
+        ids=["nn2-momentum", "nn8-sgd", "nn2-early-stop"],
+    )
+    def test_rows_into_one_matrix_equal_the_gathered_sets(self, arch, optimizer, min_delta):
+        # bootstrap-like rows, repeats included, into one matrix; 110 train
+        # rows in batches of 16 make 7 steps per epoch, the last of 14 rows
+        rng = np.random.default_rng(40)
+        X, y = separable_problem(rng, n=120)
+        plan = rng.integers(0, len(X), size=150)
+        tr, va = plan[:110], plan[110:]
+        cfg = TrainConfig(optimizer=optimizer, eta0=0.05, total_steps=90, batch_size=16,
+                          eval_every=5, patience=1 if min_delta else 1000, min_delta=min_delta, seed=41)
+        m = init(Architecture.named(arch), p=6, seed=42)
+        best, log, reason = train(m, (X, y), (X, y), cfg, tr, va)
+        ref, ref_log, ref_reason = train(m, (X[tr], y[tr]), (X[va], y[va]), cfg)
+        assert best.theta.tobytes() == ref.theta.tobytes()
+        assert repr(log.entries) == repr(ref_log.entries)
+        assert reason == ref_reason == ("early_stop" if min_delta else "budget_exhausted")
+
+    @pytest.mark.parametrize("which", ["train_rows", "val_rows"])
+    @pytest.mark.parametrize(
+        "rows,error",
+        [([], EmptySet), ([0, 64], RowsOutOfRange), ([-1], RowsOutOfRange),
+         ([[0, 1]], RowsOutOfRange), ([0.0], RowsOutOfRange)],
+        ids=["empty", "past-end", "negative", "two-dimensional", "float"],
+    )
+    def test_bad_rows_rejected(self, which, rows, error):
+        X, y = separable_problem(np.random.default_rng(43), n=64)
+        m = init(Architecture.custom([4]), p=6, seed=44)
+        with pytest.raises(error) as e:
+            train(m, (X, y), (X, y), TrainConfig(total_steps=5), **{which: rows})
+        assert isinstance(e.value, TrainError)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(27)
