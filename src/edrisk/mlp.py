@@ -4,13 +4,14 @@ Architectures: NN2 = two hidden layers of 50 units, NN4 = four of 50,
 NN8 = eight hidden layers (50 then seven of 20).  The output head is a
 single sigmoid unit giving P(y=1 | x).
 
-A model's parameters live in one contiguous float64 vector ``theta``, in
-layer order: each weight matrix row-major followed by its bias vector,
-then the output weights and output bias.  The per-layer arrays are views
-into it.
+A model's parameters live in one contiguous vector ``theta``, in layer
+order: each weight matrix row-major followed by its bias vector, then the
+output weights and output bias.  The per-layer arrays are views into it.
+A model computes in float32 if ``theta`` is float32 (training's working
+copy), in float64 otherwise.
 
 Model file format "MLP1": an ASCII header (magic, depth, layer sizes,
-SELU constants), then ``theta`` verbatim as little-endian float64.
+SELU constants), then ``theta`` as little-endian float64.
 """
 
 from __future__ import annotations
@@ -48,26 +49,31 @@ class ShapeCorruption(MLPError):
     pass
 
 
+def _floats(z) -> np.ndarray:
+    """z as a float32 array if it is float32, else as a float64 one."""
+    return np.asarray(z, dtype=np.float32 if np.asarray(z).dtype == np.float32 else np.float64)
+
+
 # Branch-free, from m = min(z, 0): for z > 0, alpha * expm1(0) is +0 and z + 0 == z, and for
 # alpha >= 0.5, 1 - alpha is exact and alpha + (1 - alpha) == 1.  So both equal the np.where(z > 0, ...)
 # forms bit for bit, except that with alpha <= 0.5 a subnormal z < 0 gives +0 where those give -0.
 def selu(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA, m=None):
     """lam * (z for z > 0, alpha * (e^z - 1) for z <= 0), element-wise; m is min(z, 0) if known."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _floats(z)
     m = np.minimum(z, 0.0) if m is None else m
     return lam * (np.maximum(z, 0.0) + alpha * np.expm1(m))
 
 
 def selu_prime(z, lam=SELU_LAMBDA, alpha=SELU_ALPHA, m=None):
     """Derivative; at z == 0 we take the z <= 0 branch value lam * alpha.  m as for selu."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _floats(z)
     m = np.minimum(z, 0.0) if m is None else m
-    return lam * (alpha * np.exp(m) + (z > 0) * (1.0 - alpha))
+    return lam * (alpha * np.exp(m) + (z > 0).astype(z.dtype) * (1.0 - alpha))  # a bool mask would give float64
 
 
 def sigmoid(z):
     """Overflow-safe logistic function."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _floats(z)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -107,7 +113,7 @@ class MLPModel:
     write through the views, never rebind them."""
 
     layer_sizes: list[int]  # [p, n_1, ..., n_d]
-    theta: np.ndarray  # (n_params(layer_sizes),) float64
+    theta: np.ndarray  # (n_params(layer_sizes),) float64, or float32 to compute in float32
     selu_lambda: float = SELU_LAMBDA
     selu_alpha: float = SELU_ALPHA
 
@@ -160,10 +166,10 @@ def init(arch: Architecture, p: int, seed: int) -> MLPModel:
 
 
 def hidden_activations(model: MLPModel, X: np.ndarray, slopes: list | None = None) -> list[np.ndarray]:
-    """All hidden-layer outputs [h^(1), ..., h^(d)] for a batch, under the
-    model's own SELU constants.  Given a list ``slopes``, also appends each
+    """All hidden-layer outputs [h^(1), ..., h^(d)] for a batch, in the model's
+    dtype and SELU constants.  Given a list ``slopes``, also appends each
     layer's SELU slope selu'(z^(i)) to it, as backpropagation needs."""
-    h = np.asarray(X, dtype=np.float64)
+    h = np.asarray(X, dtype=model.theta.dtype)
     if h.ndim != 2 or h.shape[1] != model.n_inputs:
         raise ShapeMismatch(f"input has shape {h.shape}, model expects (*, {model.n_inputs})")
     hs = []
@@ -180,7 +186,7 @@ def hidden_activations(model: MLPModel, X: np.ndarray, slopes: list | None = Non
 
 def forward_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
     """Row-wise P(y=1 | x) for a batch; empty batch gives an empty vector."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=model.theta.dtype)
     if X.shape[0] == 0:
         return np.empty(0)
     h = hidden_activations(model, X)[-1]

@@ -1,6 +1,8 @@
 """Training loop: mean negative log likelihood, exact backpropagation,
 SGD / SGD-with-momentum, linear step-size decay, and early stopping on
-validation balanced accuracy with checkpoint restore.
+validation balanced accuracy with checkpoint restore.  A float64 master
+``theta`` and momentum step by gradients taken in float32, on a float32 copy
+of the master; ``grad`` and ``loss`` compute in their model's dtype.
 
 The logged training loss is the running loss of the minibatches, as most
 frameworks report it: at each evaluation, the mean negative log
@@ -101,8 +103,8 @@ class TrainLog:
 
 
 def _check_batch(model, X, y):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = np.asarray(X, dtype=model.theta.dtype)
+    y = np.asarray(y, dtype=model.theta.dtype)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ShapeMismatch(f"X has shape {X.shape}, model expects (*, {model.n_inputs})")
     if y.shape != (X.shape[0],):
@@ -111,7 +113,7 @@ def _check_batch(model, X, y):
 
 
 def _mean_nll(P: np.ndarray, y: np.ndarray) -> float:
-    P = np.clip(P, PROB_EPS, 1.0 - PROB_EPS)
+    P = np.clip(P.astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)  # in float64, where 1 - PROB_EPS < 1
     return float(-np.mean(y * np.log(P) + (1.0 - y) * np.log(1.0 - P)))
 
 
@@ -123,8 +125,8 @@ def loss(model: MLPModel, X: np.ndarray, y: np.ndarray) -> float:
 
 def grad(model: MLPModel, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact gradient of the mean negative log likelihood via backpropagation,
-    flat in ``model.theta``'s order, together with that loss (equal to
-    ``loss(model, X, y)``)."""
+    flat in ``model.theta``'s order and dtype, together with that loss (equal
+    to ``loss(model, X, y)``)."""
     X, y = _check_batch(model, X, y)
     n = X.shape[0]
     # called through mlp: perfbench traces this module's hidden_activations as the validation pass
@@ -170,6 +172,7 @@ def _check_rows(rows, n: int, what: str) -> np.ndarray:
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: MLPModel,
     train_set: tuple[np.ndarray, np.ndarray],
@@ -184,19 +187,23 @@ def train(
     accuracy; the returned model is the best-validation checkpoint.  The
     logged train_loss is the row-weighted mean of the minibatch losses
     since the previous evaluation (see LogEntry).  Training on rows of the sets
-    (``train_rows``, ``val_rows``) equals training on the gathered rows."""
+    (``train_rows``, ``val_rows``) equals training on the gathered rows.
+    Steps and validation passes run in float32 on a copy of the float64 master,
+    which is returned; overflow warns nothing, for the loss check catches it."""
     X_tr, y_tr = _check_batch(model, *train_set)
     X_val, y_val = _check_batch(model, *val_set)
     train_rows = _check_rows(train_rows, len(X_tr), "train")
     rows = _check_rows(val_rows, len(X_val), "validation")
-    if val_rows is not None:  # gathered once; a set given without rows is not copied
+    if val_rows is not None:  # gathered once; a set given without rows is not gathered
         X_val, y_val = X_val[rows], y_val[rows]
+    X_val, y_val = X_val.astype(np.float32), y_val.astype(np.float32)
 
     n = len(train_rows)
     steps_per_epoch = max(1, int(np.ceil(n / cfg.batch_size)))
     eval_every = cfg.eval_every if cfg.eval_every > 0 else steps_per_epoch
 
     model = model.copy()
+    work = MLPModel(model.layer_sizes, model.theta.astype(np.float32), model.selu_lambda, model.selu_alpha)
     rng = np.random.default_rng(cfg.seed)
     mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
     vel = np.zeros_like(model.theta)
@@ -214,11 +221,12 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = train_rows[order[start : start + cfg.batch_size]]
-            g, batch_loss = grad(model, X_tr[batch], y_tr[batch])
+            g, batch_loss = grad(work, X_tr[batch], y_tr[batch])  # which casts the batch to float32
             seen_loss += batch_loss * len(batch)
             seen_rows += len(batch)
-            vel = mu * vel - step_size(t, cfg) * g
+            vel = mu * vel - step_size(t, cfg) * g.astype(np.float64)
             model.theta += vel
+            work.theta[...] = model.theta
             t += 1
 
             if t % eval_every == 0 or t >= cfg.total_steps:
@@ -226,7 +234,7 @@ def train(
                 seen_loss, seen_rows = 0.0, 0
                 if not np.isfinite(train_loss):
                     raise DivergenceDetected(f"non-finite training loss at step {t}")
-                acc, sens, spec = _validation_metrics(model, X_val, y_val)
+                acc, sens, spec = _validation_metrics(work, X_val, y_val)
                 log.entries.append(LogEntry(t, train_loss, acc, sens, spec, step_size(t, cfg)))
                 balanced = np.nanmean([sens, spec])
                 first_eval = best_metric == -np.inf

@@ -560,6 +560,14 @@ class TestReproFanOut:
         assert got == code
         assert err.startswith(prefix) and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_diverging_run_prints_one_line(self, monkeypatch, capsys, tmp_path, parallel):
+        force_fan_out(monkeypatch, parallel)
+        code = run("repro", "--out-dir", tmp_path, "--patients", 600, "--steps", 50, "--eta0", 1e30)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("pipeline error: DivergenceDetected:") and len(err.splitlines()) == 1
+
     def test_child_that_exits_is_a_train_error(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(cli, "_train_arch", _fail_nn4_with(lambda: os._exit(1)))
         code, _, err = self._repro(monkeypatch, capsys, tmp_path, True)

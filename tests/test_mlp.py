@@ -256,6 +256,43 @@ class TestForward:
         assert np.all((P > 0) & (P < 1))
 
 
+def float32_copy(model):
+    return MLPModel(model.layer_sizes, model.theta.astype(np.float32), model.selu_lambda, model.selu_alpha)
+
+
+class TestFloat32:
+    """A model computes in its ``theta``'s dtype; float32 input to the
+    element-wise functions stays float32 and all other input goes to float64."""
+
+    def test_activations_slopes_and_scores_of_a_float32_model_are_float32(self):
+        rng = np.random.default_rng(50)
+        m = random_model(rng, 6, [5, 4, 3])
+        X = rng.normal(size=(9, 6))
+        slopes = []
+        hs = hidden_activations(float32_copy(m), X, slopes)
+        assert [a.dtype for a in hs + slopes] == [np.float32] * 6
+        assert forward_batch(float32_copy(m), X).dtype == np.float32
+        np.testing.assert_allclose(forward_batch(float32_copy(m), X), forward_batch(m, X), rtol=1e-5)
+
+    @pytest.mark.parametrize("fn", [selu, selu_prime, sigmoid])
+    def test_elementwise_dtypes(self, fn):
+        z = np.concatenate([[0.0, -0.0], 3.0 * np.random.default_rng(51).normal(size=1000)])
+        out = fn(z.astype(np.float32))
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, fn(z.astype(np.float32).astype(np.float64)), rtol=1e-6, atol=1e-7)
+        for other in (1.5, np.float16(1.5), np.arange(3), z.astype(np.float16), z):
+            assert np.asarray(fn(other)).dtype == np.float64
+
+    def test_depth8_stack_self_normalises_in_float32(self):
+        # criterion 4's stack and bounds, run on a float32 copy
+        model = float32_copy(init(Architecture.custom([256] * 8), 256, seed=404))
+        X = np.random.default_rng(405).normal(size=(10_000, 256))
+        for layer, h in enumerate(hidden_activations(model, X), 1):
+            assert h.dtype == np.float32
+            assert abs(float(h.mean())) <= 0.1, layer
+            assert 0.8 <= float(h.var()) <= 1.25, layer
+
+
 def reference_save(model, path):
     """The MLP1 writer as it was when parameters lived in per-layer arrays."""
     with open(path, "wb") as f:

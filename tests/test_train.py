@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edrisk.mlp import Architecture, MLPModel, forward_batch, init, sigmoid
+from edrisk.mlp import Architecture, MLPModel, forward_batch, init, load_model, save_model, sigmoid
 from edrisk.train import (
     DivergenceDetected,
     EmptySet,
@@ -20,7 +20,7 @@ from edrisk.train import (
     step_size,
     train,
 )
-from test_mlp import two_branch_selu, two_branch_selu_prime
+from test_mlp import float32_copy, two_branch_selu, two_branch_selu_prime
 
 
 def finite_difference(model, X, y, h=1e-6):
@@ -48,11 +48,14 @@ def separable_problem(rng, n=400, p=6):
 def _reference_train(model, train_set, val_set, cfg):
     """The training loop as it was when each evaluation logged a full pass of
     ``loss`` over the training set and the momentum step walked the layers
-    one by one.  It also returns, per evaluation, the (loss, rows) of every
+    one by one, in mixed precision: the float64 master ``model`` steps by
+    float64 velocities, and each step and validation pass runs on a float32
+    copy of it cast afresh, with the batch and validation rows cast to
+    float32.  It also returns, per evaluation, the (loss, rows) of every
     minibatch since the previous one, each taken with ``loss`` under the
     parameters before its step."""
     X_tr, y_tr = _check_batch(model, *train_set)
-    X_val, y_val = _check_batch(model, *val_set)
+    X_val, y_val = (a.astype(np.float32) for a in _check_batch(model, *val_set))
     n = X_tr.shape[0]
     steps_per_epoch = max(1, int(np.ceil(n / cfg.batch_size)))
     eval_every = cfg.eval_every if cfg.eval_every > 0 else steps_per_epoch
@@ -75,9 +78,10 @@ def _reference_train(model, train_set, val_set, cfg):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            Xb, yb = X_tr[batch], y_tr[batch]
-            pending.append((loss(model, Xb, yb), len(batch)))
-            g = MLPModel(model.layer_sizes, grad(model, Xb, yb)[0])  # per-layer views
+            Xb, yb = X_tr[batch].astype(np.float32), y_tr[batch].astype(np.float32)
+            work = float32_copy(model)
+            pending.append((loss(work, Xb, yb), len(batch)))
+            g = MLPModel(model.layer_sizes, grad(work, Xb, yb)[0].astype(np.float64))  # per-layer views
             eta = step_size(t, cfg)
             for i in range(model.depth):
                 vel_w[i] = mu * vel_w[i] - eta * g.weights[i]
@@ -96,7 +100,7 @@ def _reference_train(model, train_set, val_set, cfg):
                     raise DivergenceDetected(f"non-finite training loss at step {t}")
                 batch_losses.append(pending)
                 pending = []
-                acc, sens, spec = _validation_metrics(model, X_val, y_val)
+                acc, sens, spec = _validation_metrics(float32_copy(model), X_val, y_val)
                 log.entries.append(LogEntry(t, train_loss, acc, sens, spec, step_size(t, cfg)))
                 balanced = np.nanmean([sens, spec])
                 first_eval = best_metric == -np.inf
@@ -222,6 +226,22 @@ class TestGrad:
         ref_g, ref_loss = _reference_grad(m, X, y)
         assert np.array_equal(g, ref_g)
         assert batch_loss == ref_loss
+
+    @pytest.mark.parametrize("batch", [7, 256])
+    def test_float32_model_gives_float32_gradient_near_float64(self, batch):
+        rng = np.random.default_rng(60)
+        m = init(Architecture.named("nn4"), p=12, seed=61)
+        for b in m.biases:
+            b[:] = 0.1 * rng.normal(size=b.shape)
+        X = rng.normal(size=(batch, 12))
+        y = (rng.random(batch) < 0.5).astype(np.float64)
+        g64, loss64 = grad(m, X, y)
+        g32, loss32 = grad(float32_copy(m), X, y)
+        assert g32.dtype == np.float32 and isinstance(loss32, float)
+        # entries that cancel to near zero keep float32's absolute error, a few
+        # eps32 = 1.2e-7 of the largest entry, so they get a floor of ~80 eps32
+        np.testing.assert_allclose(g32, g64, rtol=1e-3, atol=1e-5 * np.abs(g64).max())
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
 
     def test_symmetric_batch_zeroes_output_bias_gradient(self):
         m = init(Architecture.named("nn2"), p=3, seed=0)
@@ -446,10 +466,23 @@ class TestTrain:
             train(m, (X, y), (X, y), TrainConfig(total_steps=5), **{which: rows})
         assert isinstance(e.value, TrainError)
 
+    def test_returns_a_float64_master_saved_as_float64(self, tmp_path):
+        rng = np.random.default_rng(45)
+        X, y = separable_problem(rng, n=64)
+        m = init(Architecture.custom([8]), p=6, seed=46)
+        best, _, _ = train(m, (X, y), (X, y), TrainConfig(total_steps=40, batch_size=16, seed=47))
+        assert best.theta.dtype == np.float64
+        # the master keeps what a float32 theta could not hold
+        assert not np.array_equal(best.theta, best.theta.astype(np.float32))
+        save_model(best, tmp_path / "m.mlp")
+        assert (tmp_path / "m.mlp").read_bytes().endswith(best.theta.astype("<f8").tobytes())
+        assert load_model(tmp_path / "m.mlp").theta.tobytes() == best.theta.tobytes()
+
     def test_divergence_detected(self):
+        # with no errstate here: train's overflow warns nothing, and warnings fail these tests
         rng = np.random.default_rng(27)
         X, y = separable_problem(rng, n=64)
         m = init(Architecture.custom([8, 8]), p=6, seed=28)
         cfg = TrainConfig(eta0=1e154, total_steps=200, eval_every=1, seed=29)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceDetected):
+        with pytest.raises(DivergenceDetected):
             train(m, (X, y), (X, y), cfg)
