@@ -181,9 +181,11 @@ def _train_config(args, arch: str) -> training.TrainConfig:
 
 def _train_arch(args, out: Path, inputs, arch: str, started: float) -> tuple[str, str]:
     """Train ``arch`` on ``_train_inputs``; its stdout text and run.log line."""
-    p, pretrain, train_rows, val_rows = inputs
+    p, (X, y), train_rows, val_rows = inputs
     model = mlp.init(mlp.Architecture.named(arch), p, seed=args.seed + 10 + ARCH_INDEX[arch])
-    model, log, reason = training.train(model, pretrain, pretrain, _train_config(args, arch), train_rows, val_rows)
+    # cast in the gather itself: a float64 gather held here would stay alive for the whole run
+    val_set = (X[val_rows].astype(np.float32), y[val_rows])
+    model, log, reason = training.train(model, (X, y), val_set, _train_config(args, arch), train_rows)
     mlp.save_model(model, out / f"model_{arch}.mlp")
     log.save(out / f"trainlog_{arch}.tsv")
     last = log.entries[-1]

@@ -1,8 +1,8 @@
 """Training loop: mean negative log likelihood, exact backpropagation,
-SGD / SGD-with-momentum, linear step-size decay, and early stopping on
-validation balanced accuracy with checkpoint restore.  A float64 master
-``theta`` and momentum step by gradients taken in float32, on a float32 copy
-of the master; ``grad`` and ``loss`` compute in their model's dtype.
+SGD / SGD-with-momentum, linear step-size decay, and early stopping on the
+balanced accuracy of the caller's validation set, with checkpoint restore.
+A float64 master ``theta`` and momentum step by float32 gradients, taken on
+a float32 copy of the master; ``grad`` and ``loss`` compute in their model's dtype.
 
 The logged training loss is the running loss of the minibatches, as most
 frameworks report it: at each evaluation, the mean negative log
@@ -153,22 +153,22 @@ def step_size(t: int, cfg: TrainConfig) -> float:
     return max(cfg.eta_floor, cfg.eta0 * (1.0 - t / cfg.total_steps))
 
 
-def _validation_metrics(model, X_val, y_val, threshold=0.5):
-    """(accuracy, sensitivity, specificity); nan where a class is absent."""
+def _validation_metrics(model, X_val, y_val):
+    """(accuracy, sensitivity, specificity) at threshold 0.5; nan where a class is absent."""
     probs = sigmoid(hidden_activations(model, X_val)[-1] @ model.out_w + model.out_b)
-    c = confusion(probs, y_val, threshold)
+    c = confusion(probs, y_val, 0.5)
     sens, spec, _ = metrics(c)
     nan = float("nan")
     return (c.tp + c.tn) / len(y_val), nan if sens is None else sens, nan if spec is None else spec
 
 
-def _check_rows(rows, n: int, what: str) -> np.ndarray:
-    """``rows`` (all ``n`` when None) as an index array, checked to address a set of ``n`` rows."""
+def _check_rows(rows, n: int) -> np.ndarray:
+    """``rows`` (all ``n`` when None) as an index array, checked to address a training set of ``n`` rows."""
     rows = np.arange(n) if rows is None else np.asarray(rows)
     if rows.size == 0:
-        raise EmptySet(f"the {what} set is empty")
+        raise EmptySet("the train set is empty")
     if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-        raise RowsOutOfRange(f"{what} rows must be integers in [0, {n}) in one dimension")
+        raise RowsOutOfRange(f"train rows must be integers in [0, {n}) in one dimension")
     return rows
 
 
@@ -179,31 +179,28 @@ def train(
     val_set: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     train_rows: np.ndarray | None = None,
-    val_rows: np.ndarray | None = None,
 ) -> tuple[MLPModel, TrainLog, str]:
     """Minibatch SGD with shuffled epochs.  Evaluates validation metrics every
     eval_every steps (default: once per epoch) and stops after `patience`
     consecutive evaluations without a min_delta improvement in balanced
     accuracy; the returned model is the best-validation checkpoint.  The
     logged train_loss is the row-weighted mean of the minibatch losses
-    since the previous evaluation (see LogEntry).  Training on rows of the sets
-    (``train_rows``, ``val_rows``) equals training on the gathered rows.
+    since the previous evaluation (see LogEntry).  Training on ``train_rows``
+    equals training on the gathered rows; the validation set is cast once.
     Steps and validation passes run in float32 on a copy of the float64 master,
     which is returned; overflow warns nothing, for the loss check catches it."""
-    X_tr, y_tr = _check_batch(model, *train_set)
-    X_val, y_val = _check_batch(model, *val_set)
-    train_rows = _check_rows(train_rows, len(X_tr), "train")
-    rows = _check_rows(val_rows, len(X_val), "validation")
-    if val_rows is not None:  # gathered once; a set given without rows is not gathered
-        X_val, y_val = X_val[rows], y_val[rows]
-    X_val, y_val = X_val.astype(np.float32), y_val.astype(np.float32)
-
-    n = len(train_rows)
-    steps_per_epoch = max(1, int(np.ceil(n / cfg.batch_size)))
-    eval_every = cfg.eval_every if cfg.eval_every > 0 else steps_per_epoch
-
     model = model.copy()
     work = MLPModel(model.layer_sizes, model.theta.astype(np.float32), model.selu_lambda, model.selu_alpha)
+    X_tr, y_tr = _check_batch(model, *train_set)
+    X_val, y_val = _check_batch(work, *val_set)
+    rows = _check_rows(train_rows, len(X_tr))
+    if not len(y_val):
+        raise EmptySet("the validation set is empty")
+
+    n = len(rows)
+    steps_per_epoch = -(-n // cfg.batch_size)
+    eval_every = cfg.eval_every if cfg.eval_every > 0 else steps_per_epoch
+
     rng = np.random.default_rng(cfg.seed)
     mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
     vel = np.zeros_like(model.theta)
@@ -212,43 +209,35 @@ def train(
     best = model.copy()
     best_metric = -np.inf
     bad_evals = 0
-    stop_reason = "budget_exhausted"
     seen_loss = 0.0  # sum of minibatch mean losses times their rows since the last evaluation
     seen_rows = 0
-    t = 0
-    done = False
-    while not done:
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = train_rows[order[start : start + cfg.batch_size]]
-            g, batch_loss = grad(work, X_tr[batch], y_tr[batch])  # which casts the batch to float32
-            seen_loss += batch_loss * len(batch)
-            seen_rows += len(batch)
-            vel = mu * vel - step_size(t, cfg) * g.astype(np.float64)
-            model.theta += vel
-            work.theta[...] = model.theta
-            t += 1
-
-            if t % eval_every == 0 or t >= cfg.total_steps:
-                train_loss = seen_loss / seen_rows
-                seen_loss, seen_rows = 0.0, 0
-                if not np.isfinite(train_loss):
-                    raise DivergenceDetected(f"non-finite training loss at step {t}")
-                acc, sens, spec = _validation_metrics(work, X_val, y_val)
-                log.entries.append(LogEntry(t, train_loss, acc, sens, spec, step_size(t, cfg)))
-                balanced = np.nanmean([sens, spec])
-                first_eval = best_metric == -np.inf
-                if first_eval or balanced > best_metric + cfg.min_delta:
-                    best_metric = balanced
-                    best = model.copy()
-                    bad_evals = 0
-                else:
-                    bad_evals += 1
-                    if bad_evals >= cfg.patience:
-                        stop_reason = "early_stop"
-                        done = True
-                        break
-            if t >= cfg.total_steps:
-                done = True
-                break
-    return best, log, stop_reason
+    for t in range(cfg.total_steps):
+        if t % steps_per_epoch == 0:
+            order = rng.permutation(n)
+        start = t % steps_per_epoch * cfg.batch_size
+        batch = rows[order[start : start + cfg.batch_size]]
+        g, batch_loss = grad(work, X_tr[batch], y_tr[batch])  # which casts the batch to float32
+        seen_loss += batch_loss * len(batch)
+        seen_rows += len(batch)
+        vel = mu * vel - step_size(t, cfg) * g.astype(np.float64)
+        model.theta += vel
+        work.theta[...] = model.theta
+        if (t + 1) % eval_every and t + 1 < cfg.total_steps:
+            continue
+        train_loss = seen_loss / seen_rows
+        seen_loss, seen_rows = 0.0, 0
+        if not np.isfinite(train_loss):
+            raise DivergenceDetected(f"non-finite training loss at step {t + 1}")
+        acc, sens, spec = _validation_metrics(work, X_val, y_val)
+        log.entries.append(LogEntry(t + 1, train_loss, acc, sens, spec, step_size(t + 1, cfg)))
+        balanced = np.nanmean([sens, spec])
+        first_eval = best_metric == -np.inf
+        if first_eval or balanced > best_metric + cfg.min_delta:
+            best_metric = balanced
+            best = model.copy()
+            bad_evals = 0
+        else:
+            bad_evals += 1
+            if bad_evals >= cfg.patience:
+                return best, log, "early_stop"
+    return best, log, "budget_exhausted"

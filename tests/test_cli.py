@@ -13,7 +13,7 @@ import pytest
 
 from edrisk import cli, workers
 from edrisk.cli import StageInputMissing, main
-from edrisk.encode import load_dataset, load_stats
+from edrisk.encode import apply_stats, load_dataset, load_stats
 from edrisk.mlp import load_model, save_model
 from edrisk.resample import load_indices
 from edrisk.schema import NUMERIC_FIELDS
@@ -62,6 +62,26 @@ class TestStages:
         report = (tmp_path / "report_nn2.tsv").read_text().splitlines()
         assert len(report) == 10  # header + 9 standard filters
         assert (tmp_path / "roc_nn2_all.tsv").exists()
+
+    def test_train_is_given_the_validation_rows_in_float32(self, trained_copy, monkeypatch):
+        # a float64 gather handed to train would stay alive for the whole run
+        given = []
+        real_train = cli.training.train
+
+        def spy(model, train_set, val_set, cfg, train_rows=None):
+            given.append(val_set)
+            return real_train(model, train_set, val_set, cfg, train_rows)
+
+        monkeypatch.setattr(cli.training, "train", spy)
+        assert run("train", "--out-dir", trained_copy, "--arch", "nn2", "--steps", 5) == 0
+        [(X_val, y_val)] = given
+        ds = load_dataset(trained_copy / "features.hdr", trained_copy / "features.f32", trained_copy / "meta.tsv")
+        pre, plan, val = (load_indices(trained_copy / f"{name}.idx")[0] for name in ("pretrain", "bootstrap", "val"))
+        rows = pre[plan[val]]
+        assert X_val.dtype == np.float32 and X_val.shape[0] == len(val)
+        expected = apply_stats(ds.features, load_stats(trained_copy / "stats.tsv"), rows).astype(np.float32)
+        np.testing.assert_array_equal(X_val, expected)
+        np.testing.assert_array_equal(y_val, ds.labels[rows])
 
     def test_encode_deterministic_rerun(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path, "--patients", 60, "--seed", 2) == 0

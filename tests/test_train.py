@@ -396,6 +396,9 @@ class TestTrain:
         with pytest.raises(EmptySet):
             train(m, (np.empty((0, 3)), np.empty(0)), (np.zeros((1, 3)), np.zeros(1)),
                   TrainConfig())
+        with pytest.raises(EmptySet):
+            train(m, (np.zeros((1, 3)), np.zeros(1)), (np.empty((0, 3)), np.empty(0)),
+                  TrainConfig())
 
     @pytest.mark.parametrize(
         "optimizer,eval_every,patience",
@@ -446,13 +449,13 @@ class TestTrain:
         cfg = TrainConfig(optimizer=optimizer, eta0=0.05, total_steps=90, batch_size=16,
                           eval_every=5, patience=1 if min_delta else 1000, min_delta=min_delta, seed=41)
         m = init(Architecture.named(arch), p=6, seed=42)
-        best, log, reason = train(m, (X, y), (X, y), cfg, tr, va)
+        best, log, reason = train(m, (X, y), (X[va], y[va]), cfg, tr)
         ref, ref_log, ref_reason = train(m, (X[tr], y[tr]), (X[va], y[va]), cfg)
         assert best.theta.tobytes() == ref.theta.tobytes()
         assert repr(log.entries) == repr(ref_log.entries)
         assert reason == ref_reason == ("early_stop" if min_delta else "budget_exhausted")
 
-    @pytest.mark.parametrize("which", ["train_rows", "val_rows"])
+    @pytest.mark.parametrize("which", ["train_rows"])
     @pytest.mark.parametrize(
         "rows,error",
         [([], EmptySet), ([0, 64], RowsOutOfRange), ([-1], RowsOutOfRange),
